@@ -160,7 +160,8 @@ def _run_cells(cells, threads: int):
 
 
 def cmd_verify(args) -> int:
-    rows = verify.run_all_checks(args.seed, corrupt_accept=args.corrupt_accept)
+    seed = _config(args, SweepConfig()).seed
+    rows = verify.run_all_checks(seed, corrupt_accept=args.corrupt_accept)
     rows = sorted(rows, key=lambda r: r.name)
     out = args.out or "verify.csv"
     with open(out, "w", newline="", encoding="utf-8") as fh:
@@ -196,8 +197,7 @@ def _acceptance_cell(cfg: SweepConfig, experiment: str, kind: str, d: int, idx: 
 def cmd_sweep_accept(args) -> int:
     defaults = SweepConfig(kind="gaussian", d_grid=tuple(2**k for k in range(6, 13)),
                            h_rule="power", c=0.5, p=-1.0 / 3.0)
-    cfg = load_config(defaults, args.config, args.set)
-    cfg = replace(cfg, seed=args.seed)
+    cfg = _config(args, defaults)
     cells = [_acceptance_cell(cfg, "accept", cfg.kind, d, i)
              for i, d in enumerate(cfg.d_grid)]
     rows = _run_cells(cells, args.threads)
@@ -212,8 +212,7 @@ def cmd_sweep_collapse(args) -> int:
                            d_grid=tuple(2**k for k in range(8, 17)),
                            h_rule="power", c=1.0, p=-0.4,
                            n_states=256, n_mc=64)
-    cfg = load_config(defaults, args.config, args.set)
-    cfg = replace(cfg, seed=args.seed)
+    cfg = _config(args, defaults)
     cells = []
     for i, d in enumerate(cfg.d_grid):
         cells.append(_acceptance_cell(cfg, "collapse", "adversarial", d, 2 * i))
@@ -229,8 +228,7 @@ def cmd_sweep_gap(args) -> int:
     defaults = SweepConfig(kind="adversarial", eta=0.2, d_grid=(64,),
                            h_grid=(1e-3, 1e-2, 0.05, 0.1, 0.3, 0.5),
                            n_states=100_000)
-    cfg = load_config(defaults, args.config, args.set)
-    cfg = replace(cfg, seed=args.seed)
+    cfg = _config(args, defaults)
     if not cfg.h_grid:
         raise ValueError("sweep-gap requires a nonempty h_grid")
 
@@ -258,9 +256,8 @@ def cmd_sweep_gap(args) -> int:
 
 def cmd_mix(args) -> int:
     defaults = SweepConfig(kind="gaussian", d_grid=(64,), h_rule="theorem1",
-                           c=0.1, eps=0.25, n_replicas=4096, max_steps=2000)
-    cfg = load_config(defaults, args.config, args.set)
-    cfg = replace(cfg, seed=args.seed)
+                           c=0.1, eps=0.05, n_replicas=4096, max_steps=2000)
+    cfg = _config(args, defaults)
 
     def mix_cell(d: int, idx: int):
         def cell():
@@ -297,8 +294,7 @@ def cmd_mix(args) -> int:
 
 def cmd_finite_selftest(args) -> int:
     defaults = SweepConfig()
-    cfg = load_config(defaults, args.config, args.set)
-    cfg = replace(cfg, seed=args.seed)
+    cfg = _config(args, defaults)
     rows, all_ok = verify.finite_selftest_rows(cfg.n_instances, cfg.seed)
     out = args.out or "finite_selftest.csv"
     with open(out, "w", newline="", encoding="utf-8") as fh:
@@ -311,13 +307,23 @@ def cmd_finite_selftest(args) -> int:
     return 0 if all_ok else 1
 
 
-def _resolve_seed(args) -> int:
+def _resolve_seed(args) -> int | None:
+    """``--seed``, else the ``SEED`` environment variable, else None."""
     if args.seed is not None:
         return args.seed
     env = os.environ.get("SEED")
     if env is not None:
         return int(env)
-    return 0
+    return None
+
+
+def _config(args, defaults: SweepConfig) -> SweepConfig:
+    """Defaults, then the config file and ``--set`` lines, then the resolved seed.
+
+    Seed precedence: ``--seed`` > ``SEED`` > a ``seed=`` config line > 0.
+    """
+    cfg = load_config(defaults, args.config, args.set)
+    return cfg if args.seed is None else replace(cfg, seed=args.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--config", default=None, help="key=value config file")
         sp.add_argument("--seed", type=int, default=None,
-                        help="master seed (default: SEED env var, then 0)")
+                        help="master seed (default: SEED env var, then a "
+                             "seed= config line, then 0)")
         sp.add_argument("--out", default=None, help="output CSV path")
         sp.add_argument("--threads", type=int, default=1,
                         help="parallel sweep cells (default 1)")

@@ -84,15 +84,23 @@ class TypicalSetFilter:
 
 
 def _acceptance_values(p: Potential, h: float, x, n_mc: int, rng) -> np.ndarray:
-    """min(1, a(x, y)) for n_mc proposals y ~ Q_x, chunked to bound memory."""
+    """min(1, a(x, y)) for n_mc proposals y ~ Q_x, chunked to bound memory.
+
+    V(x) and ∇V(x) are evaluated once; each proposal costs one evaluation of
+    V and ∇V at y. A non-finite log ratio raises FloatingPointError.
+    """
+    if h <= 0:
+        raise ValueError("step size must be positive")
     x = np.asarray(x, dtype=float)
-    chunk = max(1, int(2**22 // max(x.shape[-1], 1)))
+    d = x.shape[-1]
+    value_x, grad_x = p.value_and_grad(x)
+    chunk = max(1, int(2**22 // max(d, 1)))
     out = np.empty(n_mc)
     done = 0
     while done < n_mc:
         m = min(chunk, n_mc - done)
-        y = kernels.propose_mala(p, h, np.broadcast_to(x, (m, x.shape[-1])), rng)
-        log_ratios = kernels.log_accept_ratio(p, h, x, y)
+        *_, log_ratios = kernels._propose_and_ratio(p, h, x, value_x, grad_x, rng, (m, d))
+        kernels._require_finite(log_ratios)
         out[done : done + m] = np.exp(np.minimum(log_ratios, 0.0))
         done += m
     return out

@@ -94,12 +94,21 @@ def init_chain(p: Potential, x0, seed) -> ChainState:
     )
 
 
+def _langevin_proposal(h: float, x, grad_x, noise) -> np.ndarray:
+    """(x − h·∇V(x)) + sqrt(2h)·noise for a standard normal block ``noise``.
+
+    x and ∇V(x) broadcast against ``noise``, so one state can be moved along
+    many noise rows.
+    """
+    return (x - h * grad_x) + math.sqrt(2.0 * h) * noise
+
+
 def propose_mala(p: Potential, h: float, x, rng) -> np.ndarray:
     """Draw y ~ N(x − h·∇V(x), 2h·I); accepts a batch (..., d) of states."""
     if h <= 0:
         raise ValueError("step size must be positive")
     x = np.asarray(x, dtype=float)
-    return x - h * p.grad(x) + math.sqrt(2.0 * h) * rng.standard_normal(x.shape)
+    return _langevin_proposal(h, x, p.grad(x), rng.standard_normal(x.shape))
 
 
 def _log_ratio_parts(h, x, value_x, grad_x, y, value_y, grad_y):
@@ -109,6 +118,27 @@ def _log_ratio_parts(h, x, value_x, grad_x, y, value_y, grad_y):
     forward = np.sum((y - x + h * grad_x) ** 2, axis=-1)
     backward = np.sum((x - y + h * grad_y) ** 2, axis=-1)
     return (value_x - value_y) + (forward - backward) / (4.0 * h)
+
+
+def _propose_and_ratio(p: Potential, h: float, x, value_x, grad_x, rng, shape):
+    """MALA proposal from x with V and ∇V at both ends and log a(x, y).
+
+    ``value_x`` and ``grad_x`` are the caller's cached V(x) and ∇V(x), so x
+    is never re-evaluated. The proposal y = (x − h·∇V(x)) + sqrt(2h)·xi uses
+    one standard normal block xi of ``shape`` from ``rng``, its only draw; a
+    single x (d,) may stand against m rows, shape (m, d). The block is freed
+    before V(y) and ∇V(y) are evaluated, so it adds nothing to peak memory.
+    Returns (y, V(y), ∇V(y), log a).
+    """
+    y = _langevin_proposal(h, x, grad_x, rng.standard_normal(shape))
+    value_y, grad_y = p.value_and_grad(y)
+    return y, value_y, grad_y, _log_ratio_parts(h, x, value_x, grad_x, y, value_y, grad_y)
+
+
+def _require_finite(log_ratio):
+    if not np.all(np.isfinite(np.atleast_1d(log_ratio))):
+        raise FloatingPointError("non-finite acceptance ratio")
+    return log_ratio
 
 
 def log_accept_ratio(p: Potential, h: float, x, y):
@@ -124,9 +154,7 @@ def log_accept_ratio(p: Potential, h: float, x, y):
     y = np.asarray(y, dtype=float)
     value_x, grad_x = p.value_and_grad(x)
     value_y, grad_y = p.value_and_grad(y)
-    out = _log_ratio_parts(h, x, value_x, grad_x, y, value_y, grad_y)
-    if not np.all(np.isfinite(np.atleast_1d(out))):
-        raise FloatingPointError("non-finite acceptance ratio")
+    out = _require_finite(_log_ratio_parts(h, x, value_x, grad_x, y, value_y, grad_y))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -135,22 +163,12 @@ def _uniform_open(rng, size=None):
     return 1.0 - rng.random(size)
 
 
-def mala_step(p: Potential, params: KernelParams, s: ChainState):
-    """Advance one MALA transition; returns (state, record).
-
-    The state is updated in place (and returned): on acceptance the position
-    and cached value/gradient move to the proposal; on rejection the position
-    array is left untouched.
-    """
-    if params.variant != MALA:
-        raise ValueError(f"mala_step needs variant='mala', got {params.variant!r}")
-    h = params.h
-    y = s.x - h * s.cached_grad + math.sqrt(2.0 * h) * s.rng.standard_normal(s.x.shape)
-    value_y, grad_y = p.value_and_grad(y)
-    log_ratio = float(
-        _log_ratio_parts(h, s.x, s.cached_value, s.cached_grad, y, value_y, grad_y)
+def _langevin_step(p: Potential, h: float, s: ChainState, adjusted: bool):
+    y, value_y, grad_y, log_ratio = _propose_and_ratio(
+        p, h, s.x, s.cached_value, s.cached_grad, s.rng, s.x.shape
     )
-    accepted = math.log(_uniform_open(s.rng)) <= log_ratio
+    log_ratio = float(log_ratio)
+    accepted = not adjusted or math.log(_uniform_open(s.rng)) <= log_ratio
     if accepted:
         sq_disp = float((s.x[0] - y[0]) ** 2)
         s.x = y
@@ -165,25 +183,23 @@ def mala_step(p: Potential, params: KernelParams, s: ChainState):
     )
 
 
+def mala_step(p: Potential, params: KernelParams, s: ChainState):
+    """Advance one MALA transition; returns (state, record).
+
+    The state is updated in place (and returned): on acceptance the position
+    and cached value/gradient move to the proposal; on rejection the position
+    array is left untouched.
+    """
+    if params.variant != MALA:
+        raise ValueError(f"mala_step needs variant='mala', got {params.variant!r}")
+    return _langevin_step(p, params.h, s, adjusted=True)
+
+
 def ula_step(p: Potential, params: KernelParams, s: ChainState):
     """Advance one unadjusted Langevin step (proposal always accepted)."""
     if params.variant != ULA:
         raise ValueError(f"ula_step needs variant='ula', got {params.variant!r}")
-    h = params.h
-    y = s.x - h * s.cached_grad + math.sqrt(2.0 * h) * s.rng.standard_normal(s.x.shape)
-    value_y, grad_y = p.value_and_grad(y)
-    log_ratio = float(
-        _log_ratio_parts(h, s.x, s.cached_value, s.cached_grad, y, value_y, grad_y)
-    )
-    sq_disp = float((s.x[0] - y[0]) ** 2)
-    s.x = y
-    s.cached_value = float(value_y)
-    s.cached_grad = grad_y
-    s.step_index += 1
-    return s, StepRecord(
-        proposal=y, log_ratio=log_ratio, accepted=True,
-        sq_displacement_coord1=sq_disp,
-    )
+    return _langevin_step(p, params.h, s, adjusted=False)
 
 
 def ou_exact_step(h: float, x, rng) -> np.ndarray:
@@ -212,9 +228,8 @@ def diffusion_reference_step(
         raise ValueError("substeps must be >= 1")
     x = np.asarray(x, dtype=float).copy()
     dt = h / substeps
-    noise = math.sqrt(2.0 * dt)
     for _ in range(substeps):
-        x = x - dt * p.grad(x) + noise * rng.standard_normal(x.shape)
+        x = _langevin_proposal(dt, x, p.grad(x), rng.standard_normal(x.shape))
     return x
 
 
@@ -299,9 +314,7 @@ def batch_mala_update(p: Potential, h: float, X, rng):
     """
     X = np.asarray(X, dtype=float)
     value_x, grad_x = p.value_and_grad(X)
-    Y = X - h * grad_x + math.sqrt(2.0 * h) * rng.standard_normal(X.shape)
-    value_y, grad_y = p.value_and_grad(Y)
-    log_ratios = _log_ratio_parts(h, X, value_x, grad_x, Y, value_y, grad_y)
+    Y, _, _, log_ratios = _propose_and_ratio(p, h, X, value_x, grad_x, rng, X.shape)
     accepted = np.log(_uniform_open(rng, len(X))) <= log_ratios
     X_new = np.where(accepted[:, None], Y, X)
     return X_new, accepted, log_ratios
@@ -310,7 +323,7 @@ def batch_mala_update(p: Potential, h: float, X, rng):
 def batch_ula_update(p: Potential, h: float, X, rng):
     """One unadjusted Langevin step for every row of X."""
     X = np.asarray(X, dtype=float)
-    return X - h * p.grad(X) + math.sqrt(2.0 * h) * rng.standard_normal(X.shape)
+    return _langevin_proposal(h, X, p.grad(X), rng.standard_normal(X.shape))
 
 
 _TABLE_CACHE: dict[tuple, oracle1d.CDFTable] = {}

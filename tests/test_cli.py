@@ -98,6 +98,16 @@ class TestSweeps:
         assert rows[0][4] == "sliced_tv_mixing_steps_lower_bound"
         assert 0 < float(rows[0][5]) < 500
 
+    def test_mix_defaults_measure_steps(self, tmp_path, monkeypatch):
+        # At the defaults (d = 64, warm-half start) the start is not yet
+        # within eps of the target, so the count is neither 0 nor censored.
+        monkeypatch.delenv("SEED", raising=False)
+        out = tmp_path / "mix.csv"
+        assert main(["mix", "--out", str(out)]) == 0
+        (row,) = read_rows(out)[1:]
+        assert int(row[1]) == 64
+        assert 0 < float(row[5]) < 2000  # mix's default max_steps
+
     def test_finite_selftest(self, tmp_path):
         out = tmp_path / "finite.csv"
         code = main(["finite-selftest", "--seed", "7", "--out", str(out),
@@ -149,6 +159,35 @@ class TestConfig:
               "--set", "d_grid=64", "--set", "n_states=10", "--set", "n_mc=10"])
         rows = read_rows(out)[1:]
         assert rows[0][8] == "7"
+
+    @pytest.mark.parametrize("config_seed, flag, env, expected", [
+        ("7", None, None, "7"), ("7", None, "99", "99"), ("7", "5", "99", "5"),
+        ("7", "5", None, "5"), (None, None, None, "0"),
+    ])
+    def test_seed_precedence(self, tmp_path, monkeypatch, config_seed, flag, env,
+                             expected):
+        # --seed > SEED > a seed= config line > 0.
+        cfg_file = tmp_path / "sweep.cfg"
+        seed_line = f"seed={config_seed}\n" if config_seed is not None else ""
+        cfg_file.write_text(seed_line + "d_grid=64\nn_states=10\nn_mc=10\n")
+        if env is None:
+            monkeypatch.delenv("SEED", raising=False)
+        else:
+            monkeypatch.setenv("SEED", env)
+        out = tmp_path / "accept.csv"
+        argv = ["sweep-accept", "--config", str(cfg_file), "--out", str(out)]
+        main(argv + (["--seed", flag] if flag is not None else []))
+        rows = read_rows(out)[1:]
+        assert rows[0][8] == expected
+
+    def test_verify_reads_config_seed(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("SEED", raising=False)
+        cfg_file = tmp_path / "verify.cfg"
+        cfg_file.write_text("seed=42\n")
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["verify", "--config", str(cfg_file), "--out", str(a)]) == 0
+        assert main(["verify", "--seed", "42", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_step_size_rules(self):
         cfg = SweepConfig(h_rule="fixed", c=0.25)

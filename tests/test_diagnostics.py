@@ -20,7 +20,12 @@ from malalab.diagnostics import (
     tv_mc_estimate,
 )
 from malalab.oracle1d import gaussian_tv_equal_cov
-from malalab.potentials import UnsupportedTargetError, adversarial_cosine, gaussian
+from malalab.potentials import (
+    Potential,
+    UnsupportedTargetError,
+    adversarial_cosine,
+    gaussian,
+)
 from malalab.rng import substream
 
 
@@ -102,6 +107,119 @@ class TestMeanAcceptance:
     def test_default_filter_dimension_rule(self):
         filt = TypicalSetFilter.for_dimension(4096)
         assert filt.sup_bound == pytest.approx(4 * math.sqrt(math.log(8 * 4096)))
+
+
+def _composed_acceptance_values(p, h, x, n_mc, rng):
+    """min(1, a(x, y)) composed from the public proposal and ratio.
+
+    Each chunk broadcasts x to its rows, so ∇V is taken at every row, and
+    the ratio takes V and ∇V at x once more. Chunks hold 2^22/d rows.
+    """
+    x = np.asarray(x, dtype=float)
+    d = x.shape[-1]
+    chunk = max(1, 2**22 // d)
+    out = np.empty(n_mc)
+    for start in range(0, n_mc, chunk):
+        m = min(chunk, n_mc - start)
+        y = kernels.propose_mala(p, h, np.broadcast_to(x, (m, d)), rng)
+        log_ratios = kernels.log_accept_ratio(p, h, x, y)
+        out[start : start + m] = np.exp(np.minimum(log_ratios, 0.0))
+    return out
+
+
+def _mean_and_se(values):
+    values = np.asarray(values, dtype=float)
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
+
+
+def _twin_seeds(kind):
+    """Two equal seeds: ints, or two Generators on the same stream (as the CLI passes)."""
+    if kind == "int":
+        return 31, 31
+    return substream(31, "sweep", "collapse", 0), substream(31, "sweep", "collapse", 0)
+
+
+# (d, n_mc): n_mc = 1030 is more than one chunk of 2^22/4096 = 1024 rows.
+ACCEPTANCE_SHAPES = [(5, 64), (4096, 1030)]
+
+
+class TestAcceptancePathBits:
+    """The acceptance estimators give the same bits as the composed public path."""
+
+    @pytest.mark.parametrize("seed_kind", ["int", "generator"])
+    @pytest.mark.parametrize("d, n_mc", ACCEPTANCE_SHAPES)
+    @pytest.mark.parametrize("kind", ["gaussian", "adversarial"])
+    def test_acceptance_at_equals_composed_path(self, kind, d, n_mc, seed_kind):
+        p = gaussian(d) if kind == "gaussian" else adversarial_cosine(d, 0.2)
+        h = d**-0.4
+        x = substream(32, "state", d).standard_normal(d)
+        seed, twin = _twin_seeds(seed_kind)
+        est = acceptance_at(p, h, x, n_mc, seed)
+        values = _composed_acceptance_values(
+            p, h, x, n_mc, substream(twin, "acceptance-at")
+        )
+        assert (est.value, est.std_error) == _mean_and_se(values)
+
+    @pytest.mark.parametrize("seed_kind", ["int", "generator"])
+    @pytest.mark.parametrize("d, n_states, n_mc", [(64, 40, 48), (4096, 3, 1030)])
+    @pytest.mark.parametrize("kind", ["gaussian", "adversarial"])
+    def test_mean_acceptance_equals_composed_path(self, kind, d, n_states, n_mc,
+                                                  seed_kind):
+        p = gaussian(d) if kind == "gaussian" else adversarial_cosine(d, 0.2)
+        h = d**-0.4
+        seed, twin = _twin_seeds(seed_kind)
+        res = mean_acceptance(p, h, n_states, n_mc, seed=seed)
+        X = kernels.sample_separable_target(p, n_states, substream(twin, "states"))
+        X = X[TypicalSetFilter.for_dimension(d).mask(X)]
+        per_state = [
+            _composed_acceptance_values(
+                p, h, x, n_mc, substream(twin, "proposals", i)
+            ).mean()
+            for i, x in enumerate(X)
+        ]
+        assert res.n_states == len(X)
+        assert (res.estimate.value, res.estimate.std_error) == _mean_and_se(per_state)
+
+
+class TestAcceptancePathBudget:
+    @pytest.mark.parametrize("d, n_states, n_mc", [(64, 30, 48), (4096, 2, 1030)])
+    def test_one_evaluation_at_each_state_and_proposal(self, monkeypatch, d, n_states,
+                                                       n_mc):
+        # Rows of V and of ∇V seen by mean_acceptance: one per kept state and
+        # one per proposal, so ∇V(x) is never broadcast to the proposals.
+        rows = {"value": 0, "grad": 0}
+        for name in rows:
+            original = getattr(Potential, name)
+
+            def counted(self, x, _name=name, _original=original):
+                rows[_name] += np.size(x) // self.d
+                return _original(self, x)
+
+            monkeypatch.setattr(Potential, name, counted)
+        res = mean_acceptance(adversarial_cosine(d, 0.2), d**-0.4, n_states, n_mc, seed=33)
+        expected = res.n_states * (res.n_mc + 1)
+        assert rows == {"value": expected, "grad": expected}
+
+
+class TestAcceptancePathExtremes:
+    """A non-finite log ratio raises; it never becomes an estimate."""
+
+    @pytest.mark.parametrize("p, h, x", [
+        (gaussian(4), 1e300, np.ones(4)),
+        (gaussian(4), 0.1, np.full(4, 1e160)),
+        (adversarial_cosine(4, 0.2), 0.1, np.full(4, 1e160)),
+        (adversarial_cosine(4, 0.2), 1e155, np.ones(4)),
+    ], ids=["gaussian-h1e300", "gaussian-x1e160", "adversarial-x1e160",
+            "adversarial-h1e155"])
+    def test_non_finite_ratio_raises(self, p, h, x):
+        for seed in range(3):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(FloatingPointError, match="non-finite"):
+                    acceptance_at(p, h, x, 64, seed=seed)
+
+    def test_non_positive_step_rejected(self):
+        with pytest.raises(ValueError, match="step size"):
+            acceptance_at(gaussian(4), 0.0, np.ones(4), 64, seed=0)
 
 
 class TestGaussianConductanceBound:

@@ -57,6 +57,18 @@ class TestProposal:
         se = math.sqrt(2 * h / n)
         np.testing.assert_allclose(y.mean(axis=0), x - h * p.grad(x), atol=3 * se)
 
+    @pytest.mark.parametrize("shape", [(5,), (7, 5)])
+    @pytest.mark.parametrize("p", [gaussian(5), adversarial_cosine(5, 0.2)],
+                             ids=["gaussian", "adversarial"])
+    def test_bits_follow_the_formula(self, p, shape):
+        # The bitwise equality of every MALA path rests on this one
+        # association: (x − h·∇V(x)) + sqrt(2h)·xi.
+        h = 0.3
+        x = substream(126, "prop-bits").standard_normal(shape)
+        y = propose_mala(p, h, x, substream(127, "prop-bits"))
+        xi = substream(127, "prop-bits").standard_normal(shape)
+        np.testing.assert_array_equal(y, (x - h * p.grad(x)) + math.sqrt(2 * h) * xi)
+
 
 class TestLogAcceptRatio:
     def test_zero_at_equal_points(self):

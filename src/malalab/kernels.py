@@ -115,8 +115,8 @@ def _log_ratio_parts(h, x, value_x, grad_x, y, value_y, grad_y):
     # Term order is chosen so that swapping (x, y) negates the result
     # bitwise: a−b = −(b−a) and ||·||² of identically constructed vectors
     # reuse the same floats.
-    forward = np.sum((y - x + h * grad_x) ** 2, axis=-1)
-    backward = np.sum((x - y + h * grad_y) ** 2, axis=-1)
+    forward = ((y - x + h * grad_x) ** 2).sum(axis=-1)
+    backward = ((x - y + h * grad_y) ** 2).sum(axis=-1)
     return (value_x - value_y) + (forward - backward) / (4.0 * h)
 
 
@@ -271,14 +271,14 @@ def run_chain(
         )
     n_accepted = 0
     sq_disp_total = 0.0
+    # The variant is fixed for the run: resolve it once here, not through
+    # mala_step/ula_step's variant checks on every step.
+    langevin = params.variant in (MALA, ULA)
+    adjusted = params.variant == MALA
     for step in range(1, n_steps + 1):
-        if params.variant == MALA:
-            state, rec = mala_step(p, params, state)
+        if langevin:
+            state, rec = _langevin_step(p, params.h, state, adjusted)
             n_accepted += rec.accepted
-            sq_disp_total += rec.sq_displacement_coord1
-        elif params.variant == ULA:
-            state, rec = ula_step(p, params, state)
-            n_accepted += 1
             sq_disp_total += rec.sq_displacement_coord1
         else:
             old0 = state.x[0]

@@ -78,7 +78,7 @@ class Potential:
                 f"input has trailing dimension {x.shape[-1] if x.ndim else 0}, "
                 f"expected {self.d}"
             )
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValueError("input contains non-finite entries")
         return x
 
@@ -86,11 +86,11 @@ class Potential:
         """V(x). Accepts a single point (d,) or a batch (..., d)."""
         x = self._check_input(x)
         if self.kind == GAUSSIAN:
-            out = 0.5 * np.sum(x * x, axis=-1)
+            out = 0.5 * (x * x).sum(axis=-1)
         elif self.kind == ADVERSARIAL:
             w = self.d**self.eta
             amp = 0.5 * self.d ** (-2.0 * self.eta)
-            out = 0.5 * np.sum(x * x, axis=-1) - amp * np.sum(np.cos(w * x), axis=-1)
+            out = 0.5 * (x * x).sum(axis=-1) - amp * np.cos(w * x).sum(axis=-1)
         else:
             out = np.sum(self._profile_v(x), axis=-1)
         return float(out) if out.ndim == 0 else out

@@ -42,7 +42,14 @@ def substream(seed: RandomState, *path) -> np.random.Generator:
     """Generator for the stream named by ``path`` under master ``seed``.
 
     An existing Generator is passed through unchanged (the path is ignored),
-    so helpers can accept either a seed or an already-derived stream.
+    so helpers can accept either a seed or an already-derived stream. Every
+    "stream" a helper derives from a Generator is then that one Generator,
+    drawn in sequence. The CLI sweep cells pass a Generator as the seed, so
+    within one cell the "states" and per-state "proposals" streams of
+    ``diagnostics.mean_acceptance``, "gap-states" and "gap-proposals" of
+    ``dirichlet_gap_upper``, and "mix-init" and "mix-steps" of
+    ``mixing_time_measure`` are consecutive draws of one stream: the draw
+    order inside these functions is part of every sweep value.
     """
     if isinstance(seed, np.random.Generator):
         return seed

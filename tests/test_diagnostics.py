@@ -139,8 +139,10 @@ def _twin_seeds(kind):
     return substream(31, "sweep", "collapse", 0), substream(31, "sweep", "collapse", 0)
 
 
-# (d, n_mc): n_mc = 1030 is more than one chunk of 2^22/4096 = 1024 rows.
-ACCEPTANCE_SHAPES = [(5, 64), (4096, 1030)]
+# (d, n_mc): at d = 4096, n_mc = 1030 fills 32 blocks of 2^17/4096 = 32 rows
+# and part of a 33rd, and spans two of the reference's 1024-row chunks; at
+# d = 2^14, the collapse benchmark's shape, n_mc = 48 spans six 8-row blocks.
+ACCEPTANCE_SHAPES = [(5, 64), (4096, 1030), (2**14, 48)]
 
 
 class TestAcceptancePathBits:

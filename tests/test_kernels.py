@@ -324,6 +324,32 @@ class TestRunChain:
         assert a.acceptance_rate == b.acceptance_rate
         assert a.mean_sq_displacement_coord1 == b.mean_sq_displacement_coord1
 
+    @pytest.mark.parametrize("seed", [61, 62])
+    @pytest.mark.parametrize("d", [1, 7])
+    @pytest.mark.parametrize("variant", [kernels.MALA, kernels.ULA])
+    def test_bits_equal_public_step_loop(self, variant, d, seed):
+        # Reference: the public init_chain and mala_step/ula_step, one step
+        # at a time; run_chain must give the same bits without them.
+        p, params = adversarial_cosine(d, 0.2), KernelParams(h=0.5, variant=variant)
+        x0 = substream(seed, "x0").standard_normal(d)
+        n_steps = 300
+        summary = run_chain(p, params, x0, n_steps, seed=seed, thin=1)
+        step = mala_step if variant == kernels.MALA else ula_step
+        state = init_chain(p, x0, seed)
+        snapshots, n_accepted, sq_disp_total = [state.x.copy()], 0, 0.0
+        for _ in range(n_steps):
+            state, rec = step(p, params, state)
+            n_accepted += rec.accepted
+            sq_disp_total += rec.sq_displacement_coord1
+            snapshots.append(state.x.copy())
+        assert summary.trajectory.tobytes() == np.array(snapshots).tobytes()
+        assert summary.final_x.tobytes() == state.x.tobytes()
+        assert summary.n_accepted == n_accepted
+        assert summary.acceptance_rate == n_accepted / n_steps
+        assert summary.mean_sq_displacement_coord1 == sq_disp_total / n_steps
+        if variant == kernels.MALA:
+            assert 0 < n_accepted < n_steps
+
     def test_ou_variant_runs(self):
         summary = run_chain(gaussian(2), KernelParams(h=0.5, variant=kernels.OU_EXACT),
                             np.zeros(2), 100, seed=27)

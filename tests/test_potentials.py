@@ -141,13 +141,48 @@ def test_alpha_beta_ordering_enforced():
 
 
 def test_dimension_mismatch_raises():
-    p = gaussian(4)
-    with pytest.raises(ValueError):
-        p.value(np.zeros(3))
-    with pytest.raises(ValueError):
-        p.grad(np.zeros((5, 3)))
-    with pytest.raises(ValueError):
-        p.value(np.array([1.0, np.nan, 0.0, 0.0]))
+    bad_inputs = [np.zeros(3), np.zeros((5, 3)), np.array(1.0),
+                  np.array([1.0, np.nan, 0.0, 0.0])]
+    for bad in (np.nan, np.inf, -np.inf):
+        X = np.zeros((3, 4))
+        X[1, 2] = bad
+        bad_inputs.append(X)
+    kinds = [gaussian(4), adversarial_cosine(4, 0.2),
+             custom_separable(4, np.cosh, np.sinh, (1.0, 30.0))]
+    for p in kinds:
+        for method in (p.value, p.grad, p.value_and_grad):
+            for x in bad_inputs:
+                with pytest.raises(ValueError):
+                    method(x)
+
+
+def test_value_and_grad_delegates(monkeypatch):
+    # bench/selftest.py injects faults by patching Potential.value and
+    # Potential.grad alone; a value_and_grad with its own body would let
+    # every caller that evaluates V and ∇V together miss those faults.
+    monkeypatch.setattr(potentials.Potential, "value", lambda self, x: "V sentinel")
+    monkeypatch.setattr(potentials.Potential, "grad", lambda self, x: "grad sentinel")
+    for p in (gaussian(2), adversarial_cosine(2, 0.2)):
+        assert p.value_and_grad(np.zeros(2)) == ("V sentinel", "grad sentinel")
+
+
+@pytest.mark.parametrize(
+    "p",
+    [gaussian(5), adversarial_cosine(5, 0.2),
+     custom_separable(5, np.cosh, np.sinh, (1.0, 30.0))],
+    ids=["gaussian", "adversarial", "custom"],
+)
+def test_value_and_grad_equals_separate_calls_bitwise(p):
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(p.d)
+    value, grad = p.value_and_grad(x)
+    assert type(value) is float and value == p.value(x)
+    assert grad.tobytes() == p.grad(x).tobytes()
+    X = rng.standard_normal((3, 4, p.d))
+    values, grads = p.value_and_grad(X)
+    assert values.shape == (3, 4)
+    assert values.tobytes() == p.value(X).tobytes()
+    assert grads.tobytes() == p.grad(X).tobytes()
 
 
 def test_profile_requires_separable():

@@ -64,11 +64,8 @@ from .potentials import (
     ETA_PRESETS,
     Potential,
     RegularityReport,
-    UnsupportedTargetError,
     adversarial_cosine,
-    convexity_bounds,
     custom_separable,
-    evaluate,
     gaussian,
     parse_potential,
     verify_regularity,

@@ -34,6 +34,8 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -137,22 +139,24 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_sweep_csv(path: str, rows) -> None:
-    rows = sorted(rows, key=lambda r: (r[0], r[1], r[2], str(r[3]), r[4]))
+def _write_csv(path: str, header, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SWEEP_HEADER)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_sweep_csv(path: str, rows) -> None:
+    rows = sorted(rows, key=lambda r: (r[0], r[1], r[2], str(r[3]), r[4]))
+    _write_csv(path, SWEEP_HEADER, ([_fmt(v) for v in row] for row in rows))
 
 
 def _run_cells(cells, threads: int):
+    """Call every zero-argument cell, each returning one sweep row."""
     if threads <= 1:
-        results = [cell() for cell in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda cell: cell(), cells))
-    return [row for cell_rows in results for row in cell_rows]
+        return [cell() for cell in cells]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(lambda cell: cell(), cells))
 
 
 # ---------------------------------------------------------------------------
@@ -164,12 +168,9 @@ def cmd_verify(args) -> int:
     rows = verify.run_all_checks(seed, corrupt_accept=args.corrupt_accept)
     rows = sorted(rows, key=lambda r: r.name)
     out = args.out or "verify.csv"
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("check", "value", "bound", "slack", "passed"))
-        for r in rows:
-            writer.writerow((r.name, repr(r.value), repr(r.bound),
-                             repr(r.slack), str(r.passed).lower()))
+    _write_csv(out, ("check", "value", "bound", "slack", "passed"),
+               ((r.name, repr(r.value), repr(r.bound), repr(r.slack),
+                 str(r.passed).lower()) for r in rows))
     failures = [r for r in rows if not r.passed]
     print(f"verify: {len(rows) - len(failures)}/{len(rows)} checks passed -> {out}")
     for r in failures:
@@ -178,117 +179,111 @@ def cmd_verify(args) -> int:
     return 0 if not failures else 1
 
 
-def _acceptance_cell(cfg: SweepConfig, experiment: str, kind: str, d: int, idx: int):
-    def cell():
-        p = gaussian(d) if kind == "gaussian" else adversarial_cosine(d, cfg.eta)
-        h = step_size(cfg, d, p)
-        res = diagnostics.mean_acceptance(
-            p, h, cfg.n_states, cfg.n_mc,
-            seed=substream(cfg.seed, "sweep", experiment, idx),
-        )
-        eta = "" if kind == "gaussian" else cfg.eta
-        return [(experiment, d, h, eta, "mean_acceptance",
-                 res.estimate.value, res.estimate.std_error,
-                 res.n_states * res.n_mc, cfg.seed)]
-
-    return cell
+def _row(cfg: SweepConfig, experiment: str, d: int, h: float, estimator: str,
+         value: float, std_error: float, n: int) -> tuple:
+    eta = "" if cfg.kind == "gaussian" else cfg.eta
+    return (experiment, d, h, eta, estimator, value, std_error, n, cfg.seed)
 
 
-def cmd_sweep_accept(args) -> int:
-    defaults = SweepConfig(kind="gaussian", d_grid=tuple(2**k for k in range(6, 13)),
-                           h_rule="power", c=0.5, p=-1.0 / 3.0)
-    cfg = _config(args, defaults)
-    cells = [_acceptance_cell(cfg, "accept", cfg.kind, d, i)
-             for i, d in enumerate(cfg.d_grid)]
-    rows = _run_cells(cells, args.threads)
-    out = args.out or "sweep_accept.csv"
-    write_sweep_csv(out, rows)
-    print(f"sweep-accept: {len(rows)} rows -> {out}")
-    return 0
+def _acceptance_cell(cfg: SweepConfig, experiment: str, d: int, idx: int):
+    p = target_for(cfg, d)
+    h = step_size(cfg, d, p)
+    res = diagnostics.mean_acceptance(
+        p, h, cfg.n_states, cfg.n_mc,
+        seed=substream(cfg.seed, "sweep", experiment, idx),
+    )
+    return _row(cfg, experiment, d, h, "mean_acceptance",
+                res.estimate.value, res.estimate.std_error, res.n_states * res.n_mc)
 
 
-def cmd_sweep_collapse(args) -> int:
-    defaults = SweepConfig(kind="adversarial", eta=0.2,
-                           d_grid=tuple(2**k for k in range(8, 17)),
-                           h_rule="power", c=1.0, p=-0.4,
-                           n_states=256, n_mc=64)
-    cfg = _config(args, defaults)
-    cells = []
-    for i, d in enumerate(cfg.d_grid):
-        cells.append(_acceptance_cell(cfg, "collapse", "adversarial", d, 2 * i))
-        cells.append(_acceptance_cell(cfg, "collapse", "gaussian", d, 2 * i + 1))
-    rows = _run_cells(cells, args.threads)
-    out = args.out or "sweep_collapse.csv"
-    write_sweep_csv(out, rows)
-    print(f"sweep-collapse: {len(rows)} rows -> {out}")
-    return 0
+def _gap_cell(cfg: SweepConfig, d: int, h: float, idx: int):
+    res = diagnostics.dirichlet_gap_upper(
+        target_for(cfg, d), h, cfg.n_states, substream(cfg.seed, "sweep", "gap", idx)
+    )
+    return _row(cfg, "gap", d, h, "dirichlet_gap_upper",
+                res.value, res.std_error, res.n_samples)
 
 
-def cmd_sweep_gap(args) -> int:
-    defaults = SweepConfig(kind="adversarial", eta=0.2, d_grid=(64,),
-                           h_grid=(1e-3, 1e-2, 0.05, 0.1, 0.3, 0.5),
-                           n_states=100_000)
-    cfg = _config(args, defaults)
+def _mix_cell(cfg: SweepConfig, d: int, idx: int):
+    p = target_for(cfg, d)
+    h = step_size(cfg, d, p)
+    if cfg.start == "warm-half":
+        def sampler(n, rng):
+            return math.sqrt(0.5) * rng.standard_normal((n, d))
+    elif cfg.start == "exact":
+        def sampler(n, rng):
+            return kernels.sample_separable_target(p, n, rng)
+    elif cfg.start == "origin":
+        def sampler(n, rng):
+            return np.zeros((n, d))
+    else:
+        raise ValueError(f"unknown start {cfg.start!r}")
+    steps = diagnostics.mixing_time_measure(
+        p, h, sampler, cfg.eps, cfg.max_steps, cfg.n_replicas,
+        substream(cfg.seed, "sweep", "mix", idx),
+    )
+    return _row(cfg, "mix", d, h, "sliced_tv_mixing_steps_lower_bound",
+                float(steps), 0.0, cfg.n_replicas)
+
+
+def _collapse_cells(cfg: SweepConfig):
+    # Cell 2i is the perturbed target at d_grid[i], 2i+1 its Gaussian companion.
+    return [partial(_acceptance_cell, replace(cfg, kind=kind), "collapse", d, 2 * i + j)
+            for i, d in enumerate(cfg.d_grid)
+            for j, kind in enumerate(("adversarial", "gaussian"))]
+
+
+def _gap_cells(cfg: SweepConfig):
     if not cfg.h_grid:
         raise ValueError("sweep-gap requires a nonempty h_grid")
+    return [partial(_gap_cell, cfg, d, h, i * len(cfg.h_grid) + j)
+            for i, d in enumerate(cfg.d_grid)
+            for j, h in enumerate(cfg.h_grid)]
 
-    def gap_cell(d: int, h: float, idx: int):
-        def cell():
-            p = target_for(cfg, d)
-            res = diagnostics.dirichlet_gap_upper(
-                p, h, cfg.n_states, substream(cfg.seed, "sweep", "gap", idx)
-            )
-            eta = "" if cfg.kind == "gaussian" else cfg.eta
-            return [("gap", d, h, eta, "dirichlet_gap_upper",
-                     res.value, res.std_error, res.n_samples, cfg.seed)]
 
-        return cell
+@dataclass(frozen=True)
+class _Sweep:
+    """A sweep subcommand: its defaults, the builder of its cells (zero-argument
+    callables, one row each), its default output path and its progress note."""
 
-    cells = [gap_cell(d, h, i * len(cfg.h_grid) + j)
-             for i, d in enumerate(cfg.d_grid)
-             for j, h in enumerate(cfg.h_grid)]
-    rows = _run_cells(cells, args.threads)
-    out = args.out or "sweep_gap.csv"
+    defaults: SweepConfig
+    cells: Callable[[SweepConfig], list]
+    out: str
+    note: str = ""
+
+
+SWEEPS = {
+    "sweep-accept": _Sweep(
+        SweepConfig(kind="gaussian", d_grid=tuple(2**k for k in range(6, 13)),
+                    h_rule="power", c=0.5, p=-1.0 / 3.0),
+        lambda cfg: [partial(_acceptance_cell, cfg, "accept", d, i)
+                     for i, d in enumerate(cfg.d_grid)],
+        "sweep_accept.csv"),
+    "sweep-collapse": _Sweep(
+        SweepConfig(kind="adversarial", eta=0.2,
+                    d_grid=tuple(2**k for k in range(8, 17)),
+                    h_rule="power", c=1.0, p=-0.4, n_states=256, n_mc=64),
+        _collapse_cells, "sweep_collapse.csv"),
+    "sweep-gap": _Sweep(
+        SweepConfig(kind="adversarial", eta=0.2, d_grid=(64,),
+                    h_grid=(1e-3, 1e-2, 0.05, 0.1, 0.3, 0.5), n_states=100_000),
+        _gap_cells, "sweep_gap.csv"),
+    "mix": _Sweep(
+        SweepConfig(kind="gaussian", d_grid=(64,), h_rule="theorem1",
+                    c=0.1, eps=0.05, n_replicas=4096, max_steps=2000),
+        lambda cfg: [partial(_mix_cell, cfg, d, i) for i, d in enumerate(cfg.d_grid)],
+        "mix.csv", " (lower-bound proxy, trend only)"),
+}
+
+
+def cmd_sweep(args) -> int:
+    """Run the sweep named by the subcommand through its :data:`SWEEPS` entry."""
+    sweep = SWEEPS[args.command]
+    cfg = _config(args, sweep.defaults)
+    rows = _run_cells(sweep.cells(cfg), args.threads)
+    out = args.out or sweep.out
     write_sweep_csv(out, rows)
-    print(f"sweep-gap: {len(rows)} rows -> {out}")
-    return 0
-
-
-def cmd_mix(args) -> int:
-    defaults = SweepConfig(kind="gaussian", d_grid=(64,), h_rule="theorem1",
-                           c=0.1, eps=0.05, n_replicas=4096, max_steps=2000)
-    cfg = _config(args, defaults)
-
-    def mix_cell(d: int, idx: int):
-        def cell():
-            p = target_for(cfg, d)
-            h = step_size(cfg, d, p)
-            if cfg.start == "warm-half":
-                def sampler(n, rng):
-                    return math.sqrt(0.5) * rng.standard_normal((n, d))
-            elif cfg.start == "exact":
-                def sampler(n, rng):
-                    return kernels.sample_separable_target(p, n, rng)
-            elif cfg.start == "origin":
-                def sampler(n, rng):
-                    return np.zeros((n, d))
-            else:
-                raise ValueError(f"unknown start {cfg.start!r}")
-            steps = diagnostics.mixing_time_measure(
-                p, h, sampler, cfg.eps, cfg.max_steps, cfg.n_replicas,
-                substream(cfg.seed, "sweep", "mix", idx),
-            )
-            eta = "" if cfg.kind == "gaussian" else cfg.eta
-            return [("mix", d, h, eta, "sliced_tv_mixing_steps_lower_bound",
-                     float(steps), 0.0, cfg.n_replicas, cfg.seed)]
-
-        return cell
-
-    cells = [mix_cell(d, i) for i, d in enumerate(cfg.d_grid)]
-    rows = _run_cells(cells, args.threads)
-    out = args.out or "mix.csv"
-    write_sweep_csv(out, rows)
-    print(f"mix: {len(rows)} rows (lower-bound proxy, trend only) -> {out}")
+    print(f"{args.command}: {len(rows)} rows{sweep.note} -> {out}")
     return 0
 
 
@@ -297,11 +292,8 @@ def cmd_finite_selftest(args) -> int:
     cfg = _config(args, defaults)
     rows, all_ok = verify.finite_selftest_rows(cfg.n_instances, cfg.seed)
     out = args.out or "finite_selftest.csv"
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("instance_seed", "check", "slack"))
-        for inst_seed, check, slack in rows:
-            writer.writerow((inst_seed, check, repr(slack)))
+    _write_csv(out, ("instance_seed", "check", "slack"),
+               ((inst_seed, check, repr(slack)) for inst_seed, check, slack in rows))
     print(f"finite-selftest: {len(rows)} rows, "
           f"{'all passed' if all_ok else 'FAILURES'} -> {out}")
     return 0 if all_ok else 1
@@ -350,11 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="test fixture: bias the acceptance ratio (must fail)")
     sp.set_defaults(func=cmd_verify)
 
-    for name, func in (("sweep-accept", cmd_sweep_accept),
-                       ("sweep-collapse", cmd_sweep_collapse),
-                       ("sweep-gap", cmd_sweep_gap),
-                       ("mix", cmd_mix),
-                       ("finite-selftest", cmd_finite_selftest)):
+    for name, func in ([(name, cmd_sweep) for name in SWEEPS]
+                       + [("finite-selftest", cmd_finite_selftest)]):
         sp = sub.add_parser(name)
         common(sp)
         sp.set_defaults(func=func)

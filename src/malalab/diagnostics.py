@@ -5,8 +5,8 @@ Implemented observables:
 * rejection probability at a state, which equals the total-variation
   distance between the adjusted kernel and its proposal,
   ||T_x − Q_x||_TV = 1 − ∫ Q(x, y) A(x, y) dy;
-* mean acceptance over exact stationary draws, optionally restricted to the
-  typical-set event ||x||_inf < 4·sqrt(ln(8d));
+* mean acceptance over exact stationary draws, restricted to a typical-set
+  event, by default ||x||_inf < 4·sqrt(ln(8d));
 * the Gaussian-target closed-form bound on the acceptance integrand
   ∫ Q(x, y) A(x, y) dy, which drives the conductance collapse;
 * a Dirichlet-form upper estimate of the spectral gap using the first
@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from . import kernels, oracle1d
-from .potentials import Potential, UnsupportedTargetError
+from .potentials import Potential, gaussian
 from .rng import substream
 
 
@@ -66,20 +66,17 @@ class TypicalSetFilter:
     """Restriction to the high-probability event ||x||_inf < sup_bound."""
 
     sup_bound: float
-    enabled: bool = True
 
     def __post_init__(self):
         if self.sup_bound <= 0:
             raise ValueError("sup_bound must be positive")
 
     @classmethod
-    def for_dimension(cls, d: int, enabled: bool = True) -> "TypicalSetFilter":
+    def for_dimension(cls, d: int) -> "TypicalSetFilter":
         """Default bound 4·sqrt(ln(8d)), which holds with probability >= 1 − 1/(4d)."""
-        return cls(sup_bound=4.0 * math.sqrt(math.log(8.0 * d)), enabled=enabled)
+        return cls(sup_bound=4.0 * math.sqrt(math.log(8.0 * d)))
 
     def mask(self, X: np.ndarray) -> np.ndarray:
-        if not self.enabled:
-            return np.ones(len(X), dtype=bool)
         return np.max(np.abs(X), axis=1) < self.sup_bound
 
 
@@ -150,14 +147,13 @@ def mean_acceptance(
 ) -> AcceptanceEstimate:
     """Double Monte-Carlo estimate of E_{x~pi} A(x) over exact stationary draws.
 
-    Draws ``n_states`` exact samples from the separable target, optionally
-    drops those outside the typical-set event (the dropped fraction is
+    Draws ``n_states`` exact samples from the target, drops those outside
+    the typical-set event ``filt`` (default
+    :meth:`TypicalSetFilter.for_dimension`; the dropped fraction is
     reported), and estimates A(x) per surviving state with ``n_mc``
     proposals. The standard error is the between-state SE of the per-state
     means, which accounts for both sampling layers.
     """
-    if not p.separable:
-        raise UnsupportedTargetError("mean_acceptance requires a separable target")
     if n_states < 2 or n_mc < 1:
         raise ValueError("need n_states >= 2 and n_mc >= 1")
     if filt is None:
@@ -206,8 +202,6 @@ def dirichlet_gap_upper(p: Potential, h: float, n: int, seed) -> EstimateWithSE:
     squared-increment form into the Dirichlet form, and restricting to a
     single test function upper-bounds the infimum defining the gap.
     """
-    if not p.separable:
-        raise UnsupportedTargetError("dirichlet_gap_upper requires a separable target")
     if n < 2:
         raise ValueError("n must be >= 2")
     X = kernels.sample_separable_target(p, n, substream(seed, "gap-states"))
@@ -280,7 +274,7 @@ def projection_check_gaussian(
     """
     if not 0.0 < h <= 1.0 / 3.0:
         raise ValueError("projection check requires 0 < h <= 1/3")
-    p_target = _gaussian_target(d)
+    p_target = gaussian(d)
     states = substream(seed, "projection-states").standard_normal((n_states, d))
     ou_var = -math.expm1(-2.0 * h)
     decay = math.exp(-h)
@@ -313,12 +307,6 @@ def projection_check_gaussian(
     )
 
 
-def _gaussian_target(d: int) -> Potential:
-    from .potentials import gaussian
-
-    return gaussian(d)
-
-
 def sliced_tv_to_target(samples, table: oracle1d.CDFTable) -> float:
     """Max over coordinates of the empirical-CDF sup distance to the marginal.
 
@@ -346,31 +334,24 @@ def mixing_time_measure(
     max_steps: int,
     n_replicas: int,
     seed,
-    variant: str = kernels.MALA,
-    check_every: int = 1,
 ) -> int:
     """First step at which the replica ensemble's sliced TV drops below eps.
 
-    Runs ``n_replicas`` independent chains from ``x0_sampler(n, rng)`` in
-    lockstep and evaluates the sliced-TV proxy against the exact marginal
-    every ``check_every`` steps. Returns ``max_steps`` as a sentinel when the
-    threshold is never reached. Because the proxy lower-bounds the full TV,
-    the returned count is a lower bound on the TV mixing time.
+    Runs ``n_replicas`` independent MALA chains from ``x0_sampler(n, rng)``
+    in lockstep and evaluates the sliced-TV proxy against the exact marginal
+    after every step. Returns ``max_steps`` as a sentinel when the threshold
+    is never reached. Because the proxy lower-bounds the full TV, the
+    returned count is a lower bound on the TV mixing time.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    if variant not in (kernels.MALA, kernels.ULA):
-        raise ValueError("mixing is measured for the mala and ula variants")
     table = kernels.cdf_table_for(p)
     X = np.asarray(x0_sampler(n_replicas, substream(seed, "mix-init")), dtype=float)
     if sliced_tv_to_target(X, table) <= eps:
         return 0
     rng = substream(seed, "mix-steps")
     for step in range(1, max_steps + 1):
-        if variant == kernels.MALA:
-            X, _, _ = kernels.batch_mala_update(p, h, X, rng)
-        else:
-            X = kernels.batch_ula_update(p, h, X, rng)
-        if step % check_every == 0 and sliced_tv_to_target(X, table) <= eps:
+        X, _, _ = kernels.batch_mala_update(p, h, X, rng)
+        if sliced_tv_to_target(X, table) <= eps:
             return step
     return max_steps

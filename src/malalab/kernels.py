@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from . import oracle1d
-from .potentials import Potential, UnsupportedTargetError
+from .potentials import Potential
 from .rng import substream
 
 MALA = "mala"
@@ -63,15 +63,15 @@ class KernelParams:
 class ChainState:
     """Mutable chain head: position, cached potential value/gradient, RNG.
 
-    ``cached_grad`` always equals ∇V(x); it is refreshed only on acceptance,
-    which halves gradient evaluations at low acceptance rates.
+    Under MALA and ULA ``cached_grad`` equals ∇V(x); it is refreshed only on
+    acceptance, which halves gradient evaluations at low acceptance rates.
+    OU-exact and diffusion-reference steps read no cache and move x alone.
     """
 
     x: np.ndarray
     cached_value: float
     cached_grad: np.ndarray
     rng: np.random.Generator
-    step_index: int = 0
 
 
 @dataclass(frozen=True)
@@ -168,6 +168,8 @@ def _langevin_step(p: Potential, h: float, s: ChainState, adjusted: bool):
         p, h, s.x, s.cached_value, s.cached_grad, s.rng, s.x.shape
     )
     log_ratio = float(log_ratio)
+    if adjusted and not math.isfinite(log_ratio):
+        raise FloatingPointError("non-finite acceptance ratio")
     accepted = not adjusted or math.log(_uniform_open(s.rng)) <= log_ratio
     if accepted:
         sq_disp = float((s.x[0] - y[0]) ** 2)
@@ -176,7 +178,6 @@ def _langevin_step(p: Potential, h: float, s: ChainState, adjusted: bool):
         s.cached_grad = grad_y
     else:
         sq_disp = 0.0
-    s.step_index += 1
     return s, StepRecord(
         proposal=y, log_ratio=log_ratio, accepted=accepted,
         sq_displacement_coord1=sq_disp,
@@ -290,9 +291,7 @@ def run_chain(
                 )
             sq_disp_total += float((old0 - y[0]) ** 2)
             n_accepted += 1
-            value, grad = p.value_and_grad(y)
-            state.x, state.cached_value, state.cached_grad = y, float(value), grad
-            state.step_index += 1
+            state.x = y
         if thin > 0 and step % thin == 0:
             snapshots.append(state.x.copy())
     return ChainSummary(
@@ -315,6 +314,7 @@ def batch_mala_update(p: Potential, h: float, X, rng):
     X = np.asarray(X, dtype=float)
     value_x, grad_x = p.value_and_grad(X)
     Y, _, _, log_ratios = _propose_and_ratio(p, h, X, value_x, grad_x, rng, X.shape)
+    _require_finite(log_ratios)
     accepted = np.log(_uniform_open(rng, len(X))) <= log_ratios
     X_new = np.where(accepted[:, None], Y, X)
     return X_new, accepted, log_ratios
@@ -348,8 +348,6 @@ def sample_separable_target(p: Potential, n: int, seed, n_grid: int = 8193) -> n
     Coordinates are sampled independently through the 1-D inverse-CDF table,
     so rows are exact up to the table tolerance (<= 1e-8 in CDF).
     """
-    if not p.separable:
-        raise UnsupportedTargetError("exact sampling requires a separable target")
     if n < 1:
         raise ValueError("n must be >= 1")
     table = cdf_table_for(p, n_grid=n_grid)

@@ -26,7 +26,7 @@ from scipy import integrate
 from scipy.interpolate import PchipInterpolator
 from scipy.special import erfc
 
-from .potentials import ADVERSARIAL, CUSTOM, GAUSSIAN, Potential, UnsupportedTargetError
+from .potentials import Potential, adversarial_cosine, gaussian
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -45,8 +45,7 @@ class Profile1D:
 
     ``curvature_lb`` and ``offset`` certify the Gaussian domination
     v(t) ≥ curvature_lb·t²/2 − offset used to bound the tail mass beyond
-    ±radius below ``tol``. ``key`` is a hashable identity for caching
-    (None disables caching).
+    ±radius below ``tol``.
     """
 
     v: Callable
@@ -54,7 +53,6 @@ class Profile1D:
     tol: float = 1e-10
     curvature_lb: float = 1.0
     offset: float = 0.0
-    key: tuple | None = None
 
 
 def _tail_mass_bound(radius: float, curvature_lb: float, offset: float) -> float:
@@ -71,7 +69,6 @@ def make_profile(
     offset: float = 0.0,
     tol: float = 1e-10,
     radius: float | None = None,
-    key: tuple | None = None,
 ) -> Profile1D:
     """Construct a profile with the default truncation radius and certify its tail.
 
@@ -88,57 +85,29 @@ def make_profile(
         )
     return Profile1D(
         v=v, radius=float(radius), tol=tol,
-        curvature_lb=float(curvature_lb), offset=float(offset), key=key,
+        curvature_lb=float(curvature_lb), offset=float(offset),
     )
 
 
 def gaussian_profile(tol: float = 1e-10) -> Profile1D:
     """Profile of the standard Gaussian marginal, v(t) = t²/2."""
-    return make_profile(
-        lambda t: 0.5 * np.asarray(t, dtype=float) ** 2,
-        curvature_lb=1.0, offset=0.0, tol=tol, key=("gaussian",),
-    )
+    return profile_for(gaussian(1), tol=tol)
 
 
-def adversarial_profile(
-    d: int, eta: float, amplitude: float | None = None, tol: float = 1e-10
-) -> Profile1D:
-    """Profile of the perturbed marginal, v(t) = t²/2 − amplitude·cos(d^eta·t).
-
-    ``amplitude`` defaults to 1/(2 d^{2·eta}); amplitude=0 degenerates to the
-    pure Gaussian profile (useful as a control).
-    """
-    if amplitude is None:
-        amplitude = 0.5 * d ** (-2.0 * eta)
-    if amplitude < 0:
-        raise ValueError("amplitude must be nonnegative")
-    w = d**eta
-    amp = float(amplitude)
-
-    def v(t):
-        t = np.asarray(t, dtype=float)
-        return 0.5 * t * t - amp * np.cos(w * t)
-
-    return make_profile(
-        v, curvature_lb=0.5, offset=amp, tol=tol,
-        key=("adversarial", int(d), float(eta), amp),
-    )
+def adversarial_profile(d: int, eta: float, tol: float = 1e-10) -> Profile1D:
+    """Profile of the perturbed marginal, v(t) = t²/2 − cos(d^eta·t)/(2 d^{2·eta})."""
+    return profile_for(adversarial_cosine(d, eta), tol=tol)
 
 
 def profile_for(p: Potential, tol: float = 1e-10) -> Profile1D:
-    """1-D marginal profile of a separable target."""
-    if not p.separable:
-        raise UnsupportedTargetError(f"{p.kind} target has no 1-D marginal profile")
-    if p.kind == GAUSSIAN:
-        return gaussian_profile(tol=tol)
-    if p.kind == ADVERSARIAL:
-        return adversarial_profile(p.d, p.eta, tol=tol)
-    # Custom profiles are symmetric with a minimum at 0 per the package
-    # contract, so v(t) >= v(0) + alpha t²/2 certifies the tail.
+    """1-D marginal profile of a target, v = :meth:`Potential.profile_value`.
+
+    Profiles are symmetric with a minimum at 0 per the package contract, so
+    v(t) >= v(0) + alpha·t²/2 certifies the tail.
+    """
     v0 = float(p.profile_value(0.0))
     return make_profile(
-        p.profile_value, curvature_lb=p.alpha, offset=max(0.0, -v0), tol=tol,
-        key=None,
+        p.profile_value, curvature_lb=p.alpha, offset=max(0.0, -v0), tol=tol
     )
 
 
@@ -205,21 +174,17 @@ def trig_sin_moment(ell: int, a: float, b: float, gamma: float, d: int) -> float
     return math.sin(a) * (t**4 - 6.0 * t * t + 3.0) * damp
 
 
-def kl_gaussian_vs_adversarial(
-    eta: float, d: int, amplitude: float | None = None, tol: float = 1e-10
-) -> float:
+def kl_gaussian_vs_adversarial(eta: float, d: int, tol: float = 1e-10) -> float:
     """KL(N(0, I_d) || perturbed product target) from quadrature + closed form.
 
-    Equals d·[ln(Z/sqrt(2π)) − amplitude·E_gamma cos(d^eta·xi)] with the
-    Gaussian cosine moment available exactly as exp(−d^{2·eta}/2).
+    Equals d·[ln(Z/sqrt(2π)) − amp·E_gamma cos(d^eta·xi)] with
+    amp = 1/(2 d^{2·eta}) and the Gaussian cosine moment available exactly
+    as exp(−d^{2·eta}/2).
     """
     if not 0.0 < eta < 0.25:
         raise ValueError(f"eta must lie in (0, 1/4), got {eta}")
-    if amplitude is None:
-        amplitude = 0.5 * d ** (-2.0 * eta)
-    if amplitude == 0.0:
-        return 0.0
-    prof = adversarial_profile(d, eta, amplitude=amplitude, tol=tol)
+    amplitude = 0.5 * d ** (-2.0 * eta)
+    prof = adversarial_profile(d, eta, tol=tol)
     z = normalizing_constant(prof)
     gaussian_cos = math.exp(-0.5 * d ** (2.0 * eta))
     return d * (math.log(z / SQRT_2PI) - amplitude * gaussian_cos)

@@ -38,28 +38,27 @@ CUSTOM = "custom"
 ETA_PRESETS = {"delta=0.05": 0.20, "delta=0.055": 0.195}
 
 
-class UnsupportedTargetError(ValueError):
-    """An operation was asked of a target kind that cannot support it."""
-
-
 @dataclass(frozen=True)
 class Potential:
     """Immutable description of a target pi ∝ exp(-V).
 
     ``alpha`` and ``beta`` are the certified strong-convexity and smoothness
-    constants of V; for ``custom`` kinds they are the caller's claim. For
-    separable kinds V(x) = Σ_i v(x_i) with the 1-D profile exposed through
-    :meth:`profile_value` / :meth:`profile_grad`.
+    constants of V; for ``custom`` kinds they are the caller's claim. Every
+    kind is separable, V(x) = Σ_i v(x_i), with the 1-D profile defined once
+    and exposed through :meth:`profile_value` / :meth:`profile_grad`.
     """
 
     kind: str
     d: int
     alpha: float
     beta: float
-    separable: bool
     eta: float | None = None
     _profile_v: Callable | None = field(default=None, repr=False, compare=False)
     _profile_dv: Callable | None = field(default=None, repr=False, compare=False)
+    # Perturbed target's frequency w = d^eta and amplitude 1/(2 d^{2·eta}),
+    # computed once here: every evaluation reads them.
+    _w: float | None = field(init=False, default=None, repr=False, compare=False)
+    _amp: float | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 1:
@@ -68,6 +67,9 @@ class Potential:
             raise ValueError(
                 f"need 0 < alpha <= beta, got alpha={self.alpha}, beta={self.beta}"
             )
+        if self.kind == ADVERSARIAL:
+            object.__setattr__(self, "_w", self.d**self.eta)
+            object.__setattr__(self, "_amp", 0.5 * self.d ** (-2.0 * self.eta))
 
     # -- evaluation -------------------------------------------------------
 
@@ -82,59 +84,50 @@ class Potential:
             raise ValueError("input contains non-finite entries")
         return x
 
+    def _v(self, t: np.ndarray) -> np.ndarray:
+        if self.kind == GAUSSIAN:
+            return 0.5 * t * t
+        if self.kind == ADVERSARIAL:
+            return 0.5 * t * t - self._amp * np.cos(self._w * t)
+        return np.asarray(self._profile_v(t), dtype=float)
+
+    def _dv(self, t: np.ndarray) -> np.ndarray:
+        if self.kind == GAUSSIAN:
+            return t.copy()
+        if self.kind == ADVERSARIAL:
+            return t + np.sin(self._w * t) / (2.0 * self._w)
+        return np.asarray(self._profile_dv(t), dtype=float)
+
     def value(self, x) -> float | np.ndarray:
         """V(x). Accepts a single point (d,) or a batch (..., d)."""
         x = self._check_input(x)
+        # Sum, then scale by amp: the profile form Σ_i v(x_i) rounds
+        # differently and would move verify's density-oracle row.
         if self.kind == GAUSSIAN:
             out = 0.5 * (x * x).sum(axis=-1)
         elif self.kind == ADVERSARIAL:
-            w = self.d**self.eta
-            amp = 0.5 * self.d ** (-2.0 * self.eta)
-            out = 0.5 * (x * x).sum(axis=-1) - amp * np.cos(w * x).sum(axis=-1)
+            out = 0.5 * (x * x).sum(axis=-1) - self._amp * np.cos(self._w * x).sum(axis=-1)
         else:
-            out = np.sum(self._profile_v(x), axis=-1)
+            out = np.sum(self._v(x), axis=-1)
         return float(out) if out.ndim == 0 else out
 
     def grad(self, x) -> np.ndarray:
         """∇V(x), same leading shape as the input."""
-        x = self._check_input(x)
-        if self.kind == GAUSSIAN:
-            return x.copy()
-        if self.kind == ADVERSARIAL:
-            w = self.d**self.eta
-            return x + np.sin(w * x) / (2.0 * self.d**self.eta)
-        return np.asarray(self._profile_dv(x), dtype=float)
+        return self._dv(self._check_input(x))
 
     def value_and_grad(self, x):
         """(V(x), ∇V(x)) in one call; batched like :meth:`value`."""
         return self.value(x), self.grad(x)
 
-    # -- 1-D profile (separable kinds only) --------------------------------
+    # -- 1-D profile --------------------------------------------------------
 
     def profile_value(self, t):
         """1-D profile v with V(x) = Σ_i v(x_i)."""
-        if not self.separable:
-            raise UnsupportedTargetError(f"{self.kind} target has no 1-D profile")
-        t = np.asarray(t, dtype=float)
-        if self.kind == GAUSSIAN:
-            return 0.5 * t * t
-        if self.kind == ADVERSARIAL:
-            w = self.d**self.eta
-            amp = 0.5 * self.d ** (-2.0 * self.eta)
-            return 0.5 * t * t - amp * np.cos(w * t)
-        return np.asarray(self._profile_v(t), dtype=float)
+        return self._v(np.asarray(t, dtype=float))
 
     def profile_grad(self, t):
         """Derivative v' of the 1-D profile."""
-        if not self.separable:
-            raise UnsupportedTargetError(f"{self.kind} target has no 1-D profile")
-        t = np.asarray(t, dtype=float)
-        if self.kind == GAUSSIAN:
-            return t.copy()
-        if self.kind == ADVERSARIAL:
-            w = self.d**self.eta
-            return t + np.sin(w * t) / (2.0 * self.d**self.eta)
-        return np.asarray(self._profile_dv(t), dtype=float)
+        return self._dv(np.asarray(t, dtype=float))
 
     def cache_key(self) -> tuple | None:
         """Hashable identity for table caching; None for custom profiles."""
@@ -145,16 +138,14 @@ class Potential:
 
 def gaussian(d: int) -> Potential:
     """Standard Gaussian target on R^d."""
-    return Potential(kind=GAUSSIAN, d=d, alpha=1.0, beta=1.0, separable=True)
+    return Potential(kind=GAUSSIAN, d=d, alpha=1.0, beta=1.0)
 
 
 def adversarial_cosine(d: int, eta: float) -> Potential:
     """Cosine-perturbed Gaussian target; eta must lie in the open (0, 1/4)."""
     if not 0.0 < eta < 0.25:
         raise ValueError(f"eta must lie in the open interval (0, 1/4), got {eta}")
-    return Potential(
-        kind=ADVERSARIAL, d=d, alpha=0.5, beta=1.5, separable=True, eta=float(eta)
-    )
+    return Potential(kind=ADVERSARIAL, d=d, alpha=0.5, beta=1.5, eta=float(eta))
 
 
 def custom_separable(
@@ -175,20 +166,9 @@ def custom_separable(
         d=d,
         alpha=float(a),
         beta=float(b),
-        separable=True,
         _profile_v=v,
         _profile_dv=dv,
     )
-
-
-def convexity_bounds(p: Potential) -> tuple[float, float]:
-    """Certified (alpha, beta) curvature constants of the target."""
-    return p.alpha, p.beta
-
-
-def evaluate(p: Potential, x):
-    """(V(x), ∇V(x)); functional spelling of :meth:`Potential.value_and_grad`."""
-    return p.value_and_grad(x)
 
 
 @dataclass(frozen=True)

@@ -292,6 +292,36 @@ def kernel_checks(seed: int, ratio_fn: Callable | None = None) -> list[CheckResu
 # finite-chain exact suite
 
 
+def _random_chain(rng) -> finite_chain.FiniteChain:
+    return finite_chain.random_reversible_chain(int(rng.integers(3, 11)), rng)
+
+
+def _chain_measures(c: finite_chain.FiniteChain):
+    """Detailed-balance and stationarity errors, the slacks gap − Φ²/8 and
+    2Φ − gap of both Cheeger inequalities, and the spectral quantities."""
+    sp = finite_chain.spectral_quantities(c)
+    return (finite_chain.detailed_balance_error(c.T, c.pi),
+            float(np.max(np.abs(c.pi @ c.T - c.pi))),
+            sp.gap - sp.conductance**2 / 8.0, 2.0 * sp.conductance - sp.gap, sp)
+
+
+def _projection_excess(rng) -> tuple[float, float]:
+    """lhs − rhs of the global and worst pointwise projection inequality."""
+    pi_r, q_r, qbar_r = finite_chain.random_projection_triple(
+        int(rng.integers(2, 9)), rng
+    )
+    rep = finite_chain.projection_check(q_r, qbar_r, pi_r)
+    return rep.global_lhs - rep.global_rhs, float(np.max(rep.state_lhs - rep.state_rhs))
+
+
+def _warm_start_violations(c: finite_chain.FiniteChain) -> tuple[float, float, float]:
+    """Warmness, chi-squared and Lovász violations from the lightest state."""
+    mu0 = np.zeros(c.n)
+    mu0[int(np.argmin(c.pi))] = 1.0
+    rep = finite_chain.evolve_and_check(c, mu0, 50)
+    return rep.max_warm_violation, rep.max_chi2_violation, rep.max_lovasz_violation
+
+
 def finite_chain_checks(seed: int) -> list[CheckResult]:
     rows: list[CheckResult] = []
 
@@ -313,16 +343,10 @@ def finite_chain_checks(seed: int) -> list[CheckResult]:
     worst_smono = 0.0
     s_grid = np.linspace(0.01, 0.45, 9)
     for _ in range(200):
-        n = int(rng.integers(3, 11))
-        c = finite_chain.random_reversible_chain(n, rng)
-        worst_db = max(worst_db, finite_chain.detailed_balance_error(c.T, c.pi))
-        worst_stat = max(worst_stat, float(np.max(np.abs(c.pi @ c.T - c.pi))))
-        sp = finite_chain.spectral_quantities(c)
-        worst_cheeger = min(
-            worst_cheeger,
-            sp.gap - sp.conductance**2 / 8.0,
-            2.0 * sp.conductance - sp.gap,
-        )
+        db, stat, cheeger_lower, cheeger_upper, sp = _chain_measures(_random_chain(rng))
+        worst_db = max(worst_db, db)
+        worst_stat = max(worst_stat, stat)
+        worst_cheeger = min(worst_cheeger, cheeger_lower, cheeger_upper)
         cs_vals = [sp.s_conductance(s) for s in s_grid]
         finite_vals = [v for v in cs_vals if math.isfinite(v)]
         if len(finite_vals) > 1:
@@ -335,24 +359,18 @@ def finite_chain_checks(seed: int) -> list[CheckResult]:
 
     worst_global = worst_state = 0.0
     for _ in range(500):
-        n = int(rng.integers(2, 9))
-        pi_r, q_r, qbar_r = finite_chain.random_projection_triple(n, rng)
-        rep = finite_chain.projection_check(q_r, qbar_r, pi_r)
-        worst_global = max(worst_global, rep.global_lhs - rep.global_rhs)
-        worst_state = max(worst_state, float(np.max(rep.state_lhs - rep.state_rhs)))
+        excess_global, excess_state = _projection_excess(rng)
+        worst_global = max(worst_global, excess_global)
+        worst_state = max(worst_state, excess_state)
     rows.append(_leq("finite_projection_global", worst_global, finite_chain.EXACT_TOL))
     rows.append(_leq("finite_projection_pointwise", worst_state, finite_chain.EXACT_TOL))
 
     worst_warm = worst_chi2 = worst_lov = 0.0
     for _ in range(100):
-        n = int(rng.integers(3, 11))
-        c = finite_chain.random_reversible_chain(n, rng)
-        mu0 = np.zeros(n)
-        mu0[int(np.argmin(c.pi))] = 1.0
-        rep = finite_chain.evolve_and_check(c, mu0, 50)
-        worst_warm = max(worst_warm, rep.max_warm_violation)
-        worst_chi2 = max(worst_chi2, rep.max_chi2_violation)
-        worst_lov = max(worst_lov, rep.max_lovasz_violation)
+        warm, chi2, lov = _warm_start_violations(_random_chain(rng))
+        worst_warm = max(worst_warm, warm)
+        worst_chi2 = max(worst_chi2, chi2)
+        worst_lov = max(worst_lov, lov)
     rows.append(_leq("finite_warmness_monotone", worst_warm, finite_chain.EXACT_TOL))
     rows.append(_leq("finite_chi2_warmness", worst_chi2, finite_chain.EXACT_TOL))
     rows.append(_leq("finite_lovasz_bound", worst_lov, finite_chain.EXACT_TOL))
@@ -378,34 +396,24 @@ def finite_selftest_rows(n_instances: int, seed: int):
     """Per-instance finite-chain report rows: (instance seed, check id, slack)."""
     rows = []
     all_ok = True
+    tol = finite_chain.EXACT_TOL
     for i in range(n_instances):
         inst_seed = seed + i
         rng = substream(inst_seed, "finite-selftest")
-        n = int(rng.integers(3, 11))
-        c = finite_chain.random_reversible_chain(n, rng)
-        sp = finite_chain.spectral_quantities(c)
-        pi_r, q_r, qbar_r = finite_chain.random_projection_triple(
-            int(rng.integers(2, 9)), rng
-        )
-        proj = finite_chain.projection_check(q_r, qbar_r, pi_r)
-        mu0 = np.zeros(n)
-        mu0[int(np.argmin(c.pi))] = 1.0
-        ev = finite_chain.evolve_and_check(c, mu0, 50)
+        c = _random_chain(rng)
+        db, stat, cheeger_lower, cheeger_upper, _ = _chain_measures(c)
+        excess_global, excess_state = _projection_excess(rng)
+        warm, chi2, lov = _warm_start_violations(c)
         checks = [
-            ("detailed_balance",
-             finite_chain.EXACT_TOL - finite_chain.detailed_balance_error(c.T, c.pi)),
-            ("stationarity",
-             finite_chain.EXACT_TOL - float(np.max(np.abs(c.pi @ c.T - c.pi)))),
-            ("cheeger_lower", sp.gap - sp.conductance**2 / 8.0 + 1e-12),
-            ("cheeger_upper", 2.0 * sp.conductance - sp.gap + 1e-12),
-            ("projection_global", proj.global_rhs - proj.global_lhs
-             + finite_chain.EXACT_TOL),
-            ("projection_pointwise",
-             float(np.min(proj.state_rhs - proj.state_lhs)) + finite_chain.EXACT_TOL),
-            ("warmness_monotone",
-             finite_chain.EXACT_TOL - ev.max_warm_violation),
-            ("chi2_warmness", finite_chain.EXACT_TOL - ev.max_chi2_violation),
-            ("lovasz_bound", finite_chain.EXACT_TOL - ev.max_lovasz_violation),
+            ("detailed_balance", tol - db),
+            ("stationarity", tol - stat),
+            ("cheeger_lower", cheeger_lower + 1e-12),
+            ("cheeger_upper", cheeger_upper + 1e-12),
+            ("projection_global", tol - excess_global),
+            ("projection_pointwise", tol - excess_state),
+            ("warmness_monotone", tol - warm),
+            ("chi2_warmness", tol - chi2),
+            ("lovasz_bound", tol - lov),
         ]
         for check_id, slack in checks:
             rows.append((inst_seed, check_id, float(slack)))

@@ -20,12 +20,7 @@ from malalab.diagnostics import (
     tv_mc_estimate,
 )
 from malalab.oracle1d import gaussian_tv_equal_cov
-from malalab.potentials import (
-    Potential,
-    UnsupportedTargetError,
-    adversarial_cosine,
-    gaussian,
-)
+from malalab.potentials import Potential, adversarial_cosine, gaussian
 from malalab.rng import substream
 
 
@@ -96,13 +91,6 @@ class TestMeanAcceptance:
         assert 0.5 < res.filter_rejected_fraction < 1.0
         loose = mean_acceptance(p, 0.1, 400, 16, seed=10)
         assert loose.filter_rejected_fraction <= 0.01
-
-    def test_requires_separable(self):
-        import dataclasses
-
-        p = dataclasses.replace(gaussian(3), separable=False)
-        with pytest.raises(UnsupportedTargetError):
-            mean_acceptance(p, 0.1, 8, 8, seed=11)
 
     def test_default_filter_dimension_rule(self):
         filt = TypicalSetFilter.for_dimension(4096)
@@ -203,21 +191,40 @@ class TestAcceptancePathBudget:
         assert rows == {"value": expected, "grad": expected}
 
 
-class TestAcceptancePathExtremes:
-    """A non-finite log ratio raises; it never becomes an estimate."""
+EXTREME_INPUTS = pytest.mark.parametrize("p, h, x", [
+    (gaussian(4), 1e300, np.ones(4)),
+    (gaussian(4), 0.1, np.full(4, 1e160)),
+    (adversarial_cosine(4, 0.2), 0.1, np.full(4, 1e160)),
+    (adversarial_cosine(4, 0.2), 1e155, np.ones(4)),
+], ids=["gaussian-h1e300", "gaussian-x1e160", "adversarial-x1e160",
+        "adversarial-h1e155"])
 
-    @pytest.mark.parametrize("p, h, x", [
-        (gaussian(4), 1e300, np.ones(4)),
-        (gaussian(4), 0.1, np.full(4, 1e160)),
-        (adversarial_cosine(4, 0.2), 0.1, np.full(4, 1e160)),
-        (adversarial_cosine(4, 0.2), 1e155, np.ones(4)),
-    ], ids=["gaussian-h1e300", "gaussian-x1e160", "adversarial-x1e160",
-            "adversarial-h1e155"])
+
+class TestAcceptancePathExtremes:
+    """A non-finite log ratio raises on every MALA path; it never becomes an
+    estimate or a silent rejection."""
+
+    @EXTREME_INPUTS
     def test_non_finite_ratio_raises(self, p, h, x):
         for seed in range(3):
             with np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(FloatingPointError, match="non-finite"):
                     acceptance_at(p, h, x, 64, seed=seed)
+
+    @EXTREME_INPUTS
+    def test_chain_raises(self, p, h, x):
+        for seed in range(3):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(FloatingPointError, match="non-finite"):
+                    kernels.run_chain(p, kernels.KernelParams(h=h), x, 20, seed=seed)
+
+    @EXTREME_INPUTS
+    def test_batched_update_raises(self, p, h, x):
+        X = np.tile(x, (16, 1))
+        for seed in range(3):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(FloatingPointError, match="non-finite"):
+                    kernels.batch_mala_update(p, h, X, substream(seed, "extremes"))
 
     def test_non_positive_step_rejected(self):
         with pytest.raises(ValueError, match="step size"):
@@ -293,13 +300,6 @@ class TestDirichletGapUpper:
         est = increments.mean() / var_pos
         se = increments.std(ddof=1) / math.sqrt(n) / var_pos
         assert est >= exact_gap - 3 * se
-
-    def test_requires_separable(self):
-        import dataclasses
-
-        p = dataclasses.replace(gaussian(3), separable=False)
-        with pytest.raises(UnsupportedTargetError):
-            dirichlet_gap_upper(p, 0.1, 100, seed=17)
 
 
 class TestTVEstimator:

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +19,7 @@ from malalab.kernels import (
     ula_step,
 )
 from malalab.oracle1d import adversarial_profile, profile_for, quad_expectation
-from malalab.potentials import UnsupportedTargetError, adversarial_cosine, gaussian
+from malalab.potentials import Potential, adversarial_cosine, gaussian
 from malalab.rng import substream
 
 
@@ -350,6 +349,27 @@ class TestRunChain:
         if variant == kernels.MALA:
             assert 0 < n_accepted < n_steps
 
+    @pytest.mark.parametrize("variant, grad_calls", [
+        (kernels.OU_EXACT, 1), (kernels.DIFFUSION_REF, 1 + 100 * 2),
+    ])
+    def test_exact_and_reference_steps_evaluate_only_what_they_read(
+        self, monkeypatch, variant, grad_calls
+    ):
+        # V and ∇V are evaluated once, by init_chain; the diffusion reference
+        # also takes ∇V at each of its Euler substeps.
+        calls = {"value": 0, "grad": 0}
+        for name in calls:
+            original = getattr(Potential, name)
+
+            def counted(self, x, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, x)
+
+            monkeypatch.setattr(Potential, name, counted)
+        params = KernelParams(h=0.5, variant=variant, substeps=2)
+        run_chain(gaussian(3), params, np.zeros(3), 100, seed=27)
+        assert calls == {"value": 1, "grad": grad_calls}
+
     def test_ou_variant_runs(self):
         summary = run_chain(gaussian(2), KernelParams(h=0.5, variant=kernels.OU_EXACT),
                             np.zeros(2), 100, seed=27)
@@ -378,11 +398,6 @@ class TestSampleSeparableTarget:
         X = sample_separable_target(p, n, seed=30)
         se = X.std(ddof=1) / math.sqrt(n * 4)
         assert float(X.mean()) == pytest.approx(0.0, abs=3 * se)
-
-    def test_non_separable_rejected(self):
-        p = dataclasses.replace(gaussian(3), separable=False)
-        with pytest.raises(UnsupportedTargetError):
-            sample_separable_target(p, 10, seed=31)
 
 
 def test_kernel_params_validation():

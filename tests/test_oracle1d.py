@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 
 from malalab import oracle1d as o1
+from malalab.potentials import adversarial_cosine, gaussian
 from malalab.oracle1d import (
     AccuracyError,
     CDFTable,
@@ -18,6 +19,7 @@ from malalab.oracle1d import (
     inverse_cdf_table,
     kl_gaussian_vs_adversarial,
     normalizing_constant,
+    profile_for,
     quad_expectation,
     trig_sin_moment,
 )
@@ -122,9 +124,6 @@ class TestTrigSinMoment:
 
 
 class TestKL:
-    def test_amplitude_zero_is_exact_zero(self):
-        assert kl_gaussian_vs_adversarial(0.2, 256, amplitude=0.0) == 0.0
-
     def test_rate_bound(self):
         eta = 0.2
         for k in range(8, 17, 2):
@@ -287,6 +286,19 @@ class TestInverseCDFTable:
         cdf = np.linspace(0.2, 0.9, 65)
         with pytest.raises(ConsistencyError):
             CDFTable(grid, cdf, tol=1e-8)
+
+
+@pytest.mark.parametrize("d, eta", [(1, 0.2), (64, 0.2), (4096, 0.195)])
+def test_profiles_are_the_closed_form_bitwise(d, eta):
+    # Every oracle profile is the target's own v: t²/2 − amp·cos(w·t).
+    ts = np.linspace(-9.0, 9.0, 1001)
+    w, amp = d**eta, 0.5 * d ** (-2.0 * eta)
+    closed = 0.5 * ts * ts - amp * np.cos(w * ts)
+    for prof in (adversarial_profile(d, eta), profile_for(adversarial_cosine(d, eta))):
+        assert np.asarray(prof.v(ts)).tobytes() == closed.tobytes()
+    half_square = 0.5 * ts * ts
+    for prof in (gaussian_profile(), profile_for(gaussian(d))):
+        assert np.asarray(prof.v(ts)).tobytes() == half_square.tobytes()
 
 
 def test_tail_certificate_rejects_small_radius():

@@ -7,11 +7,8 @@ import pytest
 from malalab import potentials
 from malalab.potentials import (
     ETA_PRESETS,
-    UnsupportedTargetError,
     adversarial_cosine,
-    convexity_bounds,
     custom_separable,
-    evaluate,
     gaussian,
     parse_potential,
     verify_regularity,
@@ -30,14 +27,14 @@ def central_diff_grad(p, x, eps=1e-5):
 
 def test_gaussian_value_and_gradient():
     p = gaussian(2)
-    value, grad = evaluate(p, np.array([3.0, 4.0]))
+    value, grad = p.value_and_grad(np.array([3.0, 4.0]))
     assert value == pytest.approx(12.5, abs=1e-14)
     np.testing.assert_allclose(grad, [3.0, 4.0], atol=1e-14)
 
 
 def test_adversarial_value_and_gradient_at_origin():
     p = adversarial_cosine(1, 0.2)
-    value, grad = evaluate(p, np.zeros(1))
+    value, grad = p.value_and_grad(np.zeros(1))
     assert value == pytest.approx(-0.5, abs=1e-14)
     np.testing.assert_allclose(grad, [0.0], atol=1e-14)
 
@@ -56,7 +53,7 @@ def test_gradient_matches_finite_differences(p):
     rng = np.random.default_rng(3)
     for _ in range(5):
         x = rng.standard_normal(p.d)
-        _, grad = evaluate(p, x)
+        _, grad = p.value_and_grad(x)
         approx = central_diff_grad(p, x)
         np.testing.assert_allclose(grad, approx, rtol=1e-6, atol=1e-9)
 
@@ -65,9 +62,9 @@ def test_batched_evaluate_matches_loop():
     p = adversarial_cosine(6, 0.2)
     rng = np.random.default_rng(4)
     X = rng.standard_normal((11, 6))
-    values, grads = evaluate(p, X)
+    values, grads = p.value_and_grad(X)
     for i in range(11):
-        vi, gi = evaluate(p, X[i])
+        vi, gi = p.value_and_grad(X[i])
         assert values[i] == vi
         np.testing.assert_array_equal(grads[i], gi)
 
@@ -99,10 +96,11 @@ def test_adversarial_profile_curvature_on_dense_grid():
 
 
 def test_convexity_bounds():
-    assert convexity_bounds(gaussian(3)) == (1.0, 1.0)
-    assert convexity_bounds(adversarial_cosine(3, 0.2)) == (0.5, 1.5)
+    assert (gaussian(3).alpha, gaussian(3).beta) == (1.0, 1.0)
+    p = adversarial_cosine(3, 0.2)
+    assert (p.alpha, p.beta) == (0.5, 1.5)
     p = custom_separable(3, lambda t: t**2, lambda t: 2 * t, (1.7, 2.3))
-    assert convexity_bounds(p) == (1.7, 2.3)
+    assert (p.alpha, p.beta) == (1.7, 2.3)
 
 
 def test_verify_regularity_gaussian():
@@ -185,10 +183,25 @@ def test_value_and_grad_equals_separate_calls_bitwise(p):
     assert grads.tobytes() == p.grad(X).tobytes()
 
 
-def test_profile_requires_separable():
-    p = dataclasses.replace(gaussian(3), separable=False)
-    with pytest.raises(UnsupportedTargetError):
-        p.profile_value(0.5)
+@pytest.mark.parametrize(
+    "p",
+    [gaussian(5), adversarial_cosine(5, 0.2), adversarial_cosine(4096, 0.195),
+     custom_separable(5, np.cosh, np.sinh, (1.0, 30.0))],
+    ids=["gaussian", "adversarial", "adversarial-4096", "custom"],
+)
+def test_grad_is_the_profile_derivative_bitwise(p):
+    # ∇V and v' are one definition: grad applies v' coordinate-wise.
+    X = np.random.default_rng(8).standard_normal((7, p.d)) * 3.0
+    assert p.grad(X).tobytes() == p.profile_grad(X).tobytes()
+    assert p.grad(X[0]).tobytes() == p.profile_grad(X[0]).tobytes()
+
+
+def test_parameters_are_computed_once_and_follow_replace():
+    p = adversarial_cosine(64, 0.2)
+    q = dataclasses.replace(p, d=4096)
+    x = np.full(4096, 0.3)
+    assert q.value(x) == adversarial_cosine(4096, 0.2).value(x)
+    assert q == adversarial_cosine(4096, 0.2) and p != q
 
 
 def test_potentials_are_immutable():

@@ -1,0 +1,77 @@
+"""Run a pinned set of malalab CLI invocations and print one md5 per output.
+
+    python3 tools/golden_outputs.py OUT_DIR [--source CHECKOUT]
+
+Each invocation runs in a fresh interpreter with ``CHECKOUT/src`` first on
+``PYTHONPATH`` (default: the checkout holding this script) and with
+``OUT_DIR`` as its working directory, so the progress line it prints names
+a relative path. The CSV and the captured stdout of every run are written
+to ``OUT_DIR``; the script prints ``<md5>  <file>`` for each, sorted by
+name. Running it on two commits and comparing the listings shows whether a
+refactor left every output byte-identical. Uses the standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+
+# (name, argv after ``malalab``); each run writes <name>.csv and <name>.stdout.
+PINNED = (
+    ("verify_seed0", ["verify", "--seed", "0"]),
+    ("verify_seed42", ["verify", "--seed", "42"]),
+    ("sweep_collapse", ["sweep-collapse", "--seed", "5", "--set", "d_grid=256,4096",
+                        "--set", "n_states=12", "--set", "n_mc=48"]),
+    ("sweep_accept", ["sweep-accept", "--seed", "3", "--set", "d_grid=64,256",
+                      "--set", "n_states=20", "--set", "n_mc=20"]),
+    ("sweep_gap", ["sweep-gap", "--seed", "3", "--set", "d_grid=16",
+                   "--set", "n_states=2000"]),
+    ("mix", ["mix", "--seed", "3", "--set", "d_grid=16,64"]),
+    ("finite_selftest", ["finite-selftest", "--seed", "7", "--set", "n_instances=30"]),
+)
+
+
+def run_pinned(source: str, out_dir: str) -> list[str]:
+    """Run every pinned invocation; return the names of the files written."""
+    env = dict(os.environ)
+    env.pop("SEED", None)
+    src = os.path.join(source, "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    written = []
+    for name, argv in PINNED:
+        csv_name, stdout_name = f"{name}.csv", f"{name}.stdout"
+        proc = subprocess.run(
+            [sys.executable, "-m", "malalab", *argv, "--out", csv_name],
+            cwd=out_dir, env=env, capture_output=True, text=True,
+        )
+        if proc.returncode != 0:
+            raise RuntimeError(f"{name} exited {proc.returncode}:\n{proc.stderr}")
+        with open(os.path.join(out_dir, stdout_name), "w", encoding="utf-8") as fh:
+            fh.write(proc.stdout)
+        written += [csv_name, stdout_name]
+    return sorted(written)
+
+
+def md5_of(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.md5(fh.read()).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out_dir", help="directory for the outputs (created if absent)")
+    parser.add_argument("--source", default=os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), help="source checkout to run (default: this one)")
+    args = parser.parse_args(argv)
+    out_dir = os.path.abspath(args.out_dir)
+    os.makedirs(out_dir, exist_ok=True)
+    for name in run_pinned(os.path.abspath(args.source), out_dir):
+        print(f"{md5_of(os.path.join(out_dir, name))}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

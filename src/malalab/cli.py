@@ -292,8 +292,8 @@ def cmd_finite_selftest(args) -> int:
     cfg = _config(args, defaults)
     rows, all_ok = verify.finite_selftest_rows(cfg.n_instances, cfg.seed)
     out = args.out or "finite_selftest.csv"
-    _write_csv(out, ("instance_seed", "check", "slack"),
-               ((inst_seed, check, repr(slack)) for inst_seed, check, slack in rows))
+    _write_csv(out, ("instance", "check", "slack"),
+               ((i, check, repr(slack)) for i, check, slack in rows))
     print(f"finite-selftest: {len(rows)} rows, "
           f"{'all passed' if all_ok else 'FAILURES'} -> {out}")
     return 0 if all_ok else 1

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from malalab import verify
 from malalab.cli import SweepConfig, load_config, main, step_size, target_for
 from malalab.potentials import adversarial_cosine, gaussian
 
@@ -114,9 +115,20 @@ class TestSweeps:
                      "--set", "n_instances=50"])
         assert code == 0
         rows = read_rows(out)
-        assert rows[0] == ["instance_seed", "check", "slack"]
+        assert rows[0] == ["instance", "check", "slack"]
         assert len(rows) == 1 + 50 * 9
         assert all(float(r[2]) >= 0 for r in rows[1:])
+        assert [int(r[0]) for r in rows[1::9]] == list(range(50))
+
+    def test_finite_selftest_seeds_share_no_instance(self):
+        def instances(seed):
+            rows, all_ok = verify.finite_selftest_rows(5, seed)
+            assert all_ok
+            return {tuple(slack for _, _, slack in rows[k:k + 9])
+                    for k in range(0, len(rows), 9)}
+
+        assert len(instances(0)) == 5
+        assert not instances(0) & instances(1)
 
     def test_threads_do_not_change_bytes(self, tmp_path):
         args = ["sweep-accept", "--seed", "8",

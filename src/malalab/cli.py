@@ -152,7 +152,6 @@ def write_sweep_csv(path: str, rows) -> None:
 
 
 def _run_cells(cells, threads: int):
-    """Call every zero-argument cell, each returning one sweep row."""
     if threads <= 1:
         return [cell() for cell in cells]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -277,7 +276,6 @@ SWEEPS = {
 
 
 def cmd_sweep(args) -> int:
-    """Run the sweep named by the subcommand through its :data:`SWEEPS` entry."""
     sweep = SWEEPS[args.command]
     cfg = _config(args, sweep.defaults)
     rows = _run_cells(sweep.cells(cfg), args.threads)
@@ -288,8 +286,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_finite_selftest(args) -> int:
-    defaults = SweepConfig()
-    cfg = _config(args, defaults)
+    cfg = _config(args, SweepConfig())
     rows, all_ok = verify.finite_selftest_rows(cfg.n_instances, cfg.seed)
     out = args.out or "finite_selftest.csv"
     _write_csv(out, ("instance", "check", "slack"),

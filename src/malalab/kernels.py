@@ -104,7 +104,7 @@ def _langevin_proposal(h: float, x, grad_x, noise) -> np.ndarray:
 
 
 def propose_mala(p: Potential, h: float, x, rng) -> np.ndarray:
-    """Draw y ~ N(x − h·∇V(x), 2h·I); accepts a batch (..., d) of states."""
+    """Draw y ~ N(x − h·∇V(x), 2h·I), one ULA step; accepts a batch (..., d)."""
     if h <= 0:
         raise ValueError("step size must be positive")
     x = np.asarray(x, dtype=float)
@@ -318,12 +318,6 @@ def batch_mala_update(p: Potential, h: float, X, rng):
     accepted = np.log(_uniform_open(rng, len(X))) <= log_ratios
     X_new = np.where(accepted[:, None], Y, X)
     return X_new, accepted, log_ratios
-
-
-def batch_ula_update(p: Potential, h: float, X, rng):
-    """One unadjusted Langevin step for every row of X."""
-    X = np.asarray(X, dtype=float)
-    return _langevin_proposal(h, X, p.grad(X), rng.standard_normal(X.shape))
 
 
 _TABLE_CACHE: dict[tuple, oracle1d.CDFTable] = {}

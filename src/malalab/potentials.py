@@ -84,13 +84,6 @@ class Potential:
             raise ValueError("input contains non-finite entries")
         return x
 
-    def _v(self, t: np.ndarray) -> np.ndarray:
-        if self.kind == GAUSSIAN:
-            return 0.5 * t * t
-        if self.kind == ADVERSARIAL:
-            return 0.5 * t * t - self._amp * np.cos(self._w * t)
-        return np.asarray(self._profile_v(t), dtype=float)
-
     def _dv(self, t: np.ndarray) -> np.ndarray:
         if self.kind == GAUSSIAN:
             return t.copy()
@@ -108,7 +101,7 @@ class Potential:
         elif self.kind == ADVERSARIAL:
             out = 0.5 * (x * x).sum(axis=-1) - self._amp * np.cos(self._w * x).sum(axis=-1)
         else:
-            out = np.sum(self._v(x), axis=-1)
+            out = np.sum(self.profile_value(x), axis=-1)
         return float(out) if out.ndim == 0 else out
 
     def grad(self, x) -> np.ndarray:
@@ -123,7 +116,12 @@ class Potential:
 
     def profile_value(self, t):
         """1-D profile v with V(x) = Σ_i v(x_i)."""
-        return self._v(np.asarray(t, dtype=float))
+        t = np.asarray(t, dtype=float)
+        if self.kind == GAUSSIAN:
+            return 0.5 * t * t
+        if self.kind == ADVERSARIAL:
+            return 0.5 * t * t - self._amp * np.cos(self._w * t)
+        return np.asarray(self._profile_v(t), dtype=float)
 
     def profile_grad(self, t):
         """Derivative v' of the 1-D profile."""

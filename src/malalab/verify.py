@@ -393,11 +393,8 @@ def run_all_checks(seed: int, corrupt_accept: bool = False) -> list[CheckResult]
 
 
 def finite_selftest_rows(n_instances: int, seed: int):
-    """Per-instance finite-chain report rows: (instance, check id, slack).
-
-    Instance i draws from ``substream(seed, "finite-selftest", i)``, so no two
-    master seeds share an instance.
-    """
+    """Per-instance finite-chain report rows: (instance i, check id, slack);
+    instance i draws from ``substream(seed, "finite-selftest", i)``."""
     rows = []
     all_ok = True
     tol = finite_chain.EXACT_TOL
@@ -407,18 +404,13 @@ def finite_selftest_rows(n_instances: int, seed: int):
         db, stat, cheeger_lower, cheeger_upper, _ = _chain_measures(c)
         excess_global, excess_state = _projection_excess(rng)
         warm, chi2, lov = _warm_start_violations(c)
-        checks = [
-            ("detailed_balance", tol - db),
-            ("stationarity", tol - stat),
-            ("cheeger_lower", cheeger_lower + 1e-12),
-            ("cheeger_upper", cheeger_upper + 1e-12),
-            ("projection_global", tol - excess_global),
-            ("projection_pointwise", tol - excess_state),
-            ("warmness_monotone", tol - warm),
-            ("chi2_warmness", tol - chi2),
-            ("lovasz_bound", tol - lov),
-        ]
-        for check_id, slack in checks:
-            rows.append((i, check_id, float(slack)))
-            all_ok = all_ok and slack >= 0.0
+        for r in (_leq("detailed_balance", db, tol), _leq("stationarity", stat, tol),
+                  _geq("cheeger_lower", cheeger_lower, -1e-12),
+                  _geq("cheeger_upper", cheeger_upper, -1e-12),
+                  _leq("projection_global", excess_global, tol),
+                  _leq("projection_pointwise", excess_state, tol),
+                  _leq("warmness_monotone", warm, tol),
+                  _leq("chi2_warmness", chi2, tol), _leq("lovasz_bound", lov, tol)):
+            rows.append((i, r.name, r.slack))
+            all_ok = all_ok and r.passed
     return rows, all_ok

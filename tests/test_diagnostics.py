@@ -452,7 +452,7 @@ class TestMixingTime:
                 if variant == "mala":
                     X, _, _ = kernels.batch_mala_update(p, h, X, rng)
                 else:
-                    X = kernels.batch_ula_update(p, h, X, rng)
+                    X = kernels.propose_mala(p, h, X, rng)  # one ULA step per row
                 if step >= 40:
                     levels.append(sliced_tv_to_target(X, table))
             return float(np.mean(levels))

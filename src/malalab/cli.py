@@ -132,11 +132,7 @@ def step_size(cfg: SweepConfig, d: int, p: Potential) -> float:
 
 
 def _fmt(value) -> str:
-    if value is None or value == "":
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _write_csv(path: str, header, rows) -> None:
@@ -144,18 +140,6 @@ def _write_csv(path: str, header, rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def write_sweep_csv(path: str, rows) -> None:
-    rows = sorted(rows, key=lambda r: (r[0], r[1], r[2], str(r[3]), r[4]))
-    _write_csv(path, SWEEP_HEADER, ([_fmt(v) for v in row] for row in rows))
-
-
-def _run_cells(cells, threads: int):
-    if threads <= 1:
-        return [cell() for cell in cells]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda cell: cell(), cells))
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +262,15 @@ SWEEPS = {
 def cmd_sweep(args) -> int:
     sweep = SWEEPS[args.command]
     cfg = _config(args, sweep.defaults)
-    rows = _run_cells(sweep.cells(cfg), args.threads)
+    cells = sweep.cells(cfg)
+    if args.threads <= 1:
+        rows = [cell() for cell in cells]
+    else:
+        with ThreadPoolExecutor(max_workers=args.threads) as pool:
+            rows = list(pool.map(lambda cell: cell(), cells))
+    rows.sort(key=lambda r: (r[0], r[1], r[2], str(r[3]), r[4]))
     out = args.out or sweep.out
-    write_sweep_csv(out, rows)
+    _write_csv(out, SWEEP_HEADER, ([_fmt(v) for v in row] for row in rows))
     print(f"{args.command}: {len(rows)} rows{sweep.note} -> {out}")
     return 0
 

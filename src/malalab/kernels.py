@@ -289,6 +289,8 @@ def run_chain(
                 y = diffusion_reference_step(
                     p, params.h, state.x, params.substeps, state.rng
                 )
+            if not np.isfinite(y).all():
+                raise ValueError("step left the chain at non-finite entries")
             sq_disp_total += float((old0 - y[0]) ** 2)
             n_accepted += 1
             state.x = y

@@ -118,7 +118,7 @@ class Potential:
         """1-D profile v with V(x) = Σ_i v(x_i)."""
         t = np.asarray(t, dtype=float)
         if self.kind == GAUSSIAN:
-            return 0.5 * t * t
+            return 0.5 * t**2
         if self.kind == ADVERSARIAL:
             return 0.5 * t * t - self._amp * np.cos(self._w * t)
         return np.asarray(self._profile_v(t), dtype=float)

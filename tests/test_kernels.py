@@ -370,6 +370,12 @@ class TestRunChain:
         run_chain(gaussian(3), params, np.zeros(3), 100, seed=27)
         assert calls == {"value": 1, "grad": grad_calls}
 
+    def test_non_finite_reference_endpoint_raises(self):
+        params = KernelParams(h=1e308, variant=kernels.DIFFUSION_REF)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                run_chain(gaussian(1), params, np.array([10.0]), 1, seed=0)
+
     def test_ou_variant_runs(self):
         summary = run_chain(gaussian(2), KernelParams(h=0.5, variant=kernels.OU_EXACT),
                             np.zeros(2), 100, seed=27)

@@ -296,7 +296,7 @@ def test_profiles_are_the_closed_form_bitwise(d, eta):
     closed = 0.5 * ts * ts - amp * np.cos(w * ts)
     for prof in (adversarial_profile(d, eta), profile_for(adversarial_cosine(d, eta))):
         assert np.asarray(prof.v(ts)).tobytes() == closed.tobytes()
-    half_square = 0.5 * ts * ts
+    half_square = 0.5 * ts**2
     for prof in (gaussian_profile(), profile_for(gaussian(d))):
         assert np.asarray(prof.v(ts)).tobytes() == half_square.tobytes()
 

@@ -55,8 +55,8 @@ class Potential:
     eta: float | None = None
     _profile_v: Callable | None = field(default=None, repr=False, compare=False)
     _profile_dv: Callable | None = field(default=None, repr=False, compare=False)
-    # Perturbed target's frequency w = d^eta and amplitude 1/(2 d^{2·eta}),
-    # computed once here: every evaluation reads them.
+    # The perturbed target's w = d^eta and amp = 1/(2 d^{2·eta}), set once in
+    # __post_init__ so that no evaluation recomputes the powers.
     _w: float | None = field(init=False, default=None, repr=False, compare=False)
     _amp: float | None = field(init=False, default=None, repr=False, compare=False)
 

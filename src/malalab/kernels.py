@@ -21,6 +21,11 @@ which is overflow-safe for large ||x||². All randomness is drawn from
 generators derived via :mod:`malalab.rng`, so equal seeds give bitwise-equal
 trajectories. Distinct chains never share mutable state; a single
 :class:`ChainState` must not be advanced concurrently.
+
+At d = 1, :func:`run_chain` runs MALA and ULA on Python floats, bitwise the
+chain of :func:`mala_step`/:func:`ula_step` without numpy's per-call cost on
+(1,) arrays. V and ∇V still go through ``Potential.value``/``grad`` on a
+(1,) buffer, not the float profile, so whatever wraps them sees every call.
 """
 
 from __future__ import annotations
@@ -246,6 +251,43 @@ class ChainSummary:
     trajectory: np.ndarray | None = field(default=None, repr=False)
 
 
+def _langevin_floats(p: Potential, h: float, s: ChainState, n_steps, thin, adjusted):
+    """run_chain's MALA/ULA loop at d = 1 on floats, bitwise _langevin_step's.
+
+    The scalar standard_normal() draws the bits of shape (1,); t * t is
+    numpy's array square and (x − y) ** 2 its scalar power. ULA evaluates ∇V
+    alone: its ratio is never read. Leaves s.x at the final state; returns
+    (n_accepted, Σ squared displacement, recorded states as floats or None).
+    """
+    x, g = float(s.x[0]), float(s.cached_grad[0])
+    v = v_y = s.cached_value  # ULA never evaluates V; v then stays unread
+    rng, buf, scale = s.rng, np.empty(1), math.sqrt(2.0 * h)
+    snapshots = [x] if thin > 0 else None
+    n_accepted, sq_disp_total = 0, 0.0
+    for step in range(1, n_steps + 1):
+        y = (x - h * g) + scale * rng.standard_normal()
+        buf[0] = y
+        if adjusted:
+            v_y = p.value(buf)
+        g_y = float(p.grad(buf)[0])
+        if adjusted:
+            forward, backward = (y - x) + h * g, (x - y) + h * g_y
+            log_ratio = (v - v_y) + (forward * forward - backward * backward) / (4.0 * h)
+            if not math.isfinite(log_ratio):
+                raise FloatingPointError("non-finite acceptance ratio")
+        if not adjusted or math.log(_uniform_open(rng)) <= log_ratio:
+            try:
+                sq_disp_total += (x - y) ** 2
+            except OverflowError:  # where numpy's scalar power gives inf
+                sq_disp_total += math.inf
+            n_accepted += 1
+            x, v, g = y, v_y, g_y
+        if thin > 0 and step % thin == 0:
+            snapshots.append(x)
+    s.x = np.array([x])
+    return n_accepted, sq_disp_total, snapshots
+
+
 def run_chain(
     p: Potential,
     params: KernelParams,
@@ -258,51 +300,51 @@ def run_chain(
 
     ``thin`` > 0 records the state every ``thin`` steps (including step 0)
     into ``trajectory``. OU-exact and diffusion-reference variants count
-    every step as accepted.
+    every step as accepted. At d = 1 MALA and ULA run on floats but still
+    call ``p.value``/``p.grad``, so wrappers of those see every evaluation.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     state = init_chain(p, x0, seed)
-    snapshots = [state.x.copy()] if thin > 0 else None
-    if n_steps == 0:
-        return ChainSummary(
-            final_x=state.x, n_steps=0, n_accepted=0,
-            acceptance_rate=None, mean_sq_displacement_coord1=None,
-            trajectory=np.array(snapshots) if snapshots is not None else None,
-        )
-    n_accepted = 0
-    sq_disp_total = 0.0
     # The variant is fixed for the run: resolve it once here, not through
     # mala_step/ula_step's variant checks on every step.
     langevin = params.variant in (MALA, ULA)
     adjusted = params.variant == MALA
-    for step in range(1, n_steps + 1):
-        if langevin:
-            state, rec = _langevin_step(p, params.h, state, adjusted)
-            n_accepted += rec.accepted
-            sq_disp_total += rec.sq_displacement_coord1
-        else:
-            old0 = state.x[0]
-            if params.variant == OU_EXACT:
-                y = ou_exact_step(params.h, state.x, state.rng)
+    if langevin and state.x.shape == (1,):
+        n_accepted, sq_disp_total, snapshots = _langevin_floats(
+            p, params.h, state, n_steps, thin, adjusted
+        )
+    else:
+        n_accepted, sq_disp_total = 0, 0.0
+        snapshots = [state.x.copy()] if thin > 0 else None
+        for step in range(1, n_steps + 1):
+            if langevin:
+                state, rec = _langevin_step(p, params.h, state, adjusted)
+                n_accepted += rec.accepted
+                sq_disp_total += rec.sq_displacement_coord1
             else:
-                y = diffusion_reference_step(
-                    p, params.h, state.x, params.substeps, state.rng
-                )
-            if not np.isfinite(y).all():
-                raise ValueError("step left the chain at non-finite entries")
-            sq_disp_total += float((old0 - y[0]) ** 2)
-            n_accepted += 1
-            state.x = y
-        if thin > 0 and step % thin == 0:
-            snapshots.append(state.x.copy())
+                old0 = state.x[0]
+                if params.variant == OU_EXACT:
+                    y = ou_exact_step(params.h, state.x, state.rng)
+                else:
+                    y = diffusion_reference_step(
+                        p, params.h, state.x, params.substeps, state.rng
+                    )
+                if not np.isfinite(y).all():
+                    raise ValueError("step left the chain at non-finite entries")
+                sq_disp_total += float((old0 - y[0]) ** 2)
+                n_accepted += 1
+                state.x = y
+            if thin > 0 and step % thin == 0:
+                snapshots.append(state.x.copy())
     return ChainSummary(
         final_x=state.x,
         n_steps=n_steps,
         n_accepted=n_accepted,
-        acceptance_rate=n_accepted / n_steps,
-        mean_sq_displacement_coord1=sq_disp_total / n_steps,
-        trajectory=np.array(snapshots) if snapshots is not None else None,
+        acceptance_rate=n_accepted / n_steps if n_steps else None,
+        mean_sq_displacement_coord1=sq_disp_total / n_steps if n_steps else None,
+        trajectory=(np.array(snapshots).reshape(len(snapshots), -1)
+                    if snapshots is not None else None),
     )
 
 

@@ -181,13 +181,10 @@ def kl_gaussian_vs_adversarial(eta: float, d: int, tol: float = 1e-10) -> float:
     amp = 1/(2 d^{2·eta}) and the Gaussian cosine moment available exactly
     as exp(−d^{2·eta}/2).
     """
-    if not 0.0 < eta < 0.25:
-        raise ValueError(f"eta must lie in (0, 1/4), got {eta}")
-    amplitude = 0.5 * d ** (-2.0 * eta)
-    prof = adversarial_profile(d, eta, tol=tol)
-    z = normalizing_constant(prof)
+    p = adversarial_cosine(d, eta)
+    z = normalizing_constant(profile_for(p, tol=tol))
     gaussian_cos = math.exp(-0.5 * d ** (2.0 * eta))
-    return d * (math.log(z / SQRT_2PI) - amplitude * gaussian_cos)
+    return d * (math.log(z / SQRT_2PI) - p.amp * gaussian_cos)
 
 
 def _coordinate_gaussian(
@@ -197,7 +194,7 @@ def _coordinate_gaussian(
     if not 0.0 < h < 1.0:
         raise ValueError(f"h must lie in (0, 1), got {h}")
     if amplitude is None:
-        amplitude = 0.5 * d ** (-2.0 * eta)
+        amplitude = adversarial_cosine(d, eta).amp
     m = (1.0 - h) * x1 / (1.0 + h * h)
     s = math.sqrt(2.0 * h / (1.0 + h * h))
     return float(amplitude), d**eta, m, s

@@ -56,9 +56,9 @@ class Potential:
     _profile_v: Callable | None = field(default=None, repr=False, compare=False)
     _profile_dv: Callable | None = field(default=None, repr=False, compare=False)
     # The perturbed target's w = d^eta and amp = 1/(2 d^{2·eta}), set once in
-    # __post_init__ so that no evaluation recomputes the powers.
-    _w: float | None = field(init=False, default=None, repr=False, compare=False)
-    _amp: float | None = field(init=False, default=None, repr=False, compare=False)
+    # __post_init__; evaluations and oracles read them, never recompute them.
+    w: float | None = field(init=False, default=None, repr=False, compare=False)
+    amp: float | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 1:
@@ -68,8 +68,8 @@ class Potential:
                 f"need 0 < alpha <= beta, got alpha={self.alpha}, beta={self.beta}"
             )
         if self.kind == ADVERSARIAL:
-            object.__setattr__(self, "_w", self.d**self.eta)
-            object.__setattr__(self, "_amp", 0.5 * self.d ** (-2.0 * self.eta))
+            object.__setattr__(self, "w", self.d**self.eta)
+            object.__setattr__(self, "amp", 0.5 * self.d ** (-2.0 * self.eta))
 
     # -- evaluation -------------------------------------------------------
 
@@ -88,7 +88,7 @@ class Potential:
         if self.kind == GAUSSIAN:
             return t.copy()
         if self.kind == ADVERSARIAL:
-            return t + np.sin(self._w * t) / (2.0 * self._w)
+            return t + np.sin(self.w * t) / (2.0 * self.w)
         return np.asarray(self._profile_dv(t), dtype=float)
 
     def value(self, x) -> float | np.ndarray:
@@ -99,7 +99,7 @@ class Potential:
         if self.kind == GAUSSIAN:
             out = 0.5 * (x * x).sum(axis=-1)
         elif self.kind == ADVERSARIAL:
-            out = 0.5 * (x * x).sum(axis=-1) - self._amp * np.cos(self._w * x).sum(axis=-1)
+            out = 0.5 * (x * x).sum(axis=-1) - self.amp * np.cos(self.w * x).sum(axis=-1)
         else:
             out = np.sum(self.profile_value(x), axis=-1)
         return float(out) if out.ndim == 0 else out
@@ -120,7 +120,7 @@ class Potential:
         if self.kind == GAUSSIAN:
             return 0.5 * t**2
         if self.kind == ADVERSARIAL:
-            return 0.5 * t * t - self._amp * np.cos(self._w * t)
+            return 0.5 * t * t - self.amp * np.cos(self.w * t)
         return np.asarray(self._profile_v(t), dtype=float)
 
     def profile_grad(self, t):

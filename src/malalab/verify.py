@@ -136,7 +136,7 @@ def oracle_checks(seed: int) -> list[CheckResult]:
 
     d = 2**14
     ratio = oracle1d.expected_cos(oracle1d.adversarial_profile(d, eta), eta, d) / (
-        0.25 * d ** (-2.0 * eta)
+        0.5 * adversarial_cosine(d, eta).amp
     )
     rows.append(_leq("oracle_expected_cos_ratio_high", ratio, 1.2))
     rows.append(_geq("oracle_expected_cos_ratio_low", ratio, 0.8))
@@ -151,8 +151,8 @@ def oracle_checks(seed: int) -> list[CheckResult]:
     h = d**-0.4
     x1 = -2.0 * math.sqrt(math.log(8.0 * d))
     quad_val = oracle1d.coordinate_factor(x1, h, eta, d)
-    amp = 0.5 * d ** (-2.0 * eta)
-    w = d**eta
+    target = adversarial_cosine(d, eta)
+    amp, w = target.amp, target.w
     rng_cf = substream(seed, "verify", "coordinate-factor")
     n_cf = 200_000
     y = ((1.0 - h) * x1 / (1.0 + h * h)

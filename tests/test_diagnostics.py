@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -211,12 +212,42 @@ class TestAcceptancePathExtremes:
                 with pytest.raises(FloatingPointError, match="non-finite"):
                     acceptance_at(p, h, x, 64, seed=seed)
 
+    @pytest.mark.parametrize("d", [1, 4])
     @EXTREME_INPUTS
-    def test_chain_raises(self, p, h, x):
+    def test_chain_raises(self, p, h, x, d):
+        # d = 1 runs run_chain's float loop, d = 4 its array step.
+        p, x = dataclasses.replace(p, d=d), x[:d]
         for seed in range(3):
             with np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(FloatingPointError, match="non-finite"):
                     kernels.run_chain(p, kernels.KernelParams(h=h), x, 20, seed=seed)
+
+    @pytest.mark.parametrize("d", [1, 4])
+    @pytest.mark.parametrize("p, h", [
+        (gaussian(4), 1e300), (adversarial_cosine(4, 0.2), 1e155),
+    ], ids=["gaussian-h1e300", "adversarial-h1e155"])
+    def test_ula_chain_leaving_the_reals_raises_value_error(self, p, h, d):
+        # ULA has no ratio to check. A step to a non-finite state is stopped
+        # by ∇V's input check, with the ValueError of Potential.grad.
+        p, params = dataclasses.replace(p, d=d), kernels.KernelParams(h=h, variant=kernels.ULA)
+        for seed in range(3):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(ValueError, match="input contains non-finite entries"):
+                    kernels.run_chain(p, params, np.ones(d), 20, seed=seed)
+
+    @pytest.mark.parametrize("d", [1, 4])
+    @pytest.mark.parametrize("p", [gaussian(4), adversarial_cosine(4, 0.2)],
+                             ids=["gaussian", "adversarial"])
+    def test_ula_chain_from_far_start_contracts(self, p, d):
+        # From x = 1e160 ULA contracts by about 1 − h per step and finishes
+        # without error near 0.9^20·1e160 ≈ 1.2e159. Its squared displacement
+        # overflows to inf, as numpy's power does, on both run_chain paths.
+        p, params = dataclasses.replace(p, d=d), kernels.KernelParams(h=0.1, variant=kernels.ULA)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = kernels.run_chain(p, params, np.full(d, 1e160), 20, seed=0)
+        np.testing.assert_allclose(res.final_x, 0.9**20 * 1e160, rtol=1e-12)
+        assert res.n_accepted == 20
+        assert res.mean_sq_displacement_coord1 == math.inf
 
     @EXTREME_INPUTS
     def test_batched_update_raises(self, p, h, x):

@@ -323,40 +323,72 @@ class TestRunChain:
         assert a.acceptance_rate == b.acceptance_rate
         assert a.mean_sq_displacement_coord1 == b.mean_sq_displacement_coord1
 
-    @pytest.mark.parametrize("seed", [61, 62])
-    @pytest.mark.parametrize("d", [1, 7])
-    @pytest.mark.parametrize("variant", [kernels.MALA, kernels.ULA])
-    def test_bits_equal_public_step_loop(self, variant, d, seed):
+    @staticmethod
+    def _public_step_loop(p, params, x0, n_steps, seed, thin):
         # Reference: the public init_chain and mala_step/ula_step, one step
-        # at a time; run_chain must give the same bits without them.
-        p, params = adversarial_cosine(d, 0.2), KernelParams(h=0.5, variant=variant)
-        x0 = substream(seed, "x0").standard_normal(d)
-        n_steps = 300
-        summary = run_chain(p, params, x0, n_steps, seed=seed, thin=1)
-        step = mala_step if variant == kernels.MALA else ula_step
+        # at a time, recording like run_chain.
+        step = mala_step if params.variant == kernels.MALA else ula_step
         state = init_chain(p, x0, seed)
         snapshots, n_accepted, sq_disp_total = [state.x.copy()], 0, 0.0
-        for _ in range(n_steps):
+        for i in range(1, n_steps + 1):
             state, rec = step(p, params, state)
             n_accepted += rec.accepted
             sq_disp_total += rec.sq_displacement_coord1
-            snapshots.append(state.x.copy())
-        assert summary.trajectory.tobytes() == np.array(snapshots).tobytes()
-        assert summary.final_x.tobytes() == state.x.tobytes()
+            if thin > 0 and i % thin == 0:
+                snapshots.append(state.x.copy())
+        return np.array(snapshots) if thin > 0 else None, state.x, n_accepted, sq_disp_total
+
+    def _assert_bits_equal_public_step_loop(self, p, params, x0, n_steps, seed, thin):
+        summary = run_chain(p, params, x0, n_steps, seed=seed, thin=thin)
+        trajectory, final_x, n_accepted, sq_disp_total = self._public_step_loop(
+            p, params, x0, n_steps, seed, thin)
+        if thin > 0:
+            assert summary.trajectory.shape == trajectory.shape
+            assert summary.trajectory.tobytes() == trajectory.tobytes()
+        else:
+            assert summary.trajectory is None
+        assert summary.final_x.tobytes() == final_x.tobytes()
         assert summary.n_accepted == n_accepted
         assert summary.acceptance_rate == n_accepted / n_steps
         assert summary.mean_sq_displacement_coord1 == sq_disp_total / n_steps
-        if variant == kernels.MALA:
+        if params.variant == kernels.MALA:
             assert 0 < n_accepted < n_steps
 
-    @pytest.mark.parametrize("variant, grad_calls", [
-        (kernels.OU_EXACT, 1), (kernels.DIFFUSION_REF, 1 + 100 * 2),
-    ])
-    def test_exact_and_reference_steps_evaluate_only_what_they_read(
-        self, monkeypatch, variant, grad_calls
-    ):
-        # V and ∇V are evaluated once, by init_chain; the diffusion reference
-        # also takes ∇V at each of its Euler substeps.
+    @pytest.mark.parametrize("thin", [0, 1, 3])
+    @pytest.mark.parametrize("seed", [61, 62])
+    @pytest.mark.parametrize("d", [1, 7])
+    @pytest.mark.parametrize("kind", ["gaussian", "adversarial"])
+    @pytest.mark.parametrize("variant", [kernels.MALA, kernels.ULA])
+    def test_bits_equal_public_step_loop(self, variant, kind, d, seed, thin):
+        # d = 1 runs the float loop, d = 7 the array step; both must give
+        # the public step's bits.
+        p = gaussian(d) if kind == "gaussian" else adversarial_cosine(d, 0.2)
+        params = KernelParams(h=0.5, variant=variant)
+        x0 = substream(seed, "x0").standard_normal(d)
+        self._assert_bits_equal_public_step_loop(p, params, x0, 300, seed, thin)
+
+    @pytest.mark.parametrize("p, variant", [
+        (gaussian(1), kernels.MALA), (adversarial_cosine(1, 0.2), kernels.MALA),
+        (gaussian(1), kernels.ULA),
+    ], ids=["mala-gaussian", "mala-adversarial", "ula-gaussian"])
+    def test_float_chain_bits_equal_public_step_loop_long(self, p, variant):
+        # The chain benchmark's three chains at its h, bit for bit over
+        # 20 000 steps.
+        x0 = substream(63, "x0").standard_normal(1)
+        params = KernelParams(h=0.2, variant=variant)
+        self._assert_bits_equal_public_step_loop(p, params, x0, 20_000, 63, 1)
+
+    def test_float_chain_squares_the_displacement_like_numpy(self):
+        # Seed 466's first ULA step from 0 moves by a t whose t ** 2 (libm's
+        # pow, which numpy's scalar power calls) and t * t differ in the last
+        # bit; the float loop must take the power, as the array step does.
+        p, params = gaussian(1), KernelParams(h=0.5, variant=kernels.ULA)
+        t = -run_chain(p, params, np.zeros(1), 1, seed=466).final_x[0]
+        assert float(t) ** 2 != float(t) * float(t), "pow and t * t agree on this t"
+        self._assert_bits_equal_public_step_loop(p, params, np.zeros(1), 1, 466, 1)
+
+    @staticmethod
+    def _count_potential_calls(monkeypatch):
         calls = {"value": 0, "grad": 0}
         for name in calls:
             original = getattr(Potential, name)
@@ -366,9 +398,34 @@ class TestRunChain:
                 return _original(self, x)
 
             monkeypatch.setattr(Potential, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("variant, grad_calls", [
+        (kernels.OU_EXACT, 1), (kernels.DIFFUSION_REF, 1 + 100 * 2),
+    ])
+    def test_exact_and_reference_steps_evaluate_only_what_they_read(
+        self, monkeypatch, variant, grad_calls
+    ):
+        # V and ∇V are evaluated once, by init_chain; the diffusion reference
+        # also takes ∇V at each of its Euler substeps.
+        calls = self._count_potential_calls(monkeypatch)
         params = KernelParams(h=0.5, variant=variant, substeps=2)
         run_chain(gaussian(3), params, np.zeros(3), 100, seed=27)
         assert calls == {"value": 1, "grad": grad_calls}
+
+    @pytest.mark.parametrize("variant, value_calls", [
+        (kernels.MALA, 1 + 100), (kernels.ULA, 1),
+    ])
+    def test_float_chain_evaluates_through_potential_methods(
+        self, monkeypatch, variant, value_calls
+    ):
+        # At d = 1 every V and ∇V still goes through Potential.value and
+        # Potential.grad, so a wrapper of either sees each step; ULA reads
+        # no V after init_chain.
+        calls = self._count_potential_calls(monkeypatch)
+        run_chain(adversarial_cosine(1, 0.2), KernelParams(h=0.5, variant=variant),
+                  np.zeros(1), 100, seed=28)
+        assert calls == {"value": value_calls, "grad": 1 + 100}
 
     def test_non_finite_reference_endpoint_raises(self):
         params = KernelParams(h=1e308, variant=kernels.DIFFUSION_REF)

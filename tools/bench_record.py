@@ -1,17 +1,17 @@
 """Record benchmark runs of one or more checkouts in one BENCH_*.json file.
 
     python3 tools/bench_record.py OUT.json LABEL=CHECKOUT [LABEL=CHECKOUT ...] \
-        [--runs 5] [--seconds 20] [--seed 9601] [--workloads collapse,chain,mix,verify]
+        [--runs 5] [--seconds 20] [--seed 9601]
 
-For each workload, seed S = seed, seed + 1, ... and checkout, runs
+For each of the benchmark's four workloads and each seed S = seed,
+seed + 1, ... (``--runs`` of them), every checkout runs
 
     python3 bench/run.py --workload W --seed S --seconds T --trace 0
 
-in the checkout, ``--runs`` times per checkout. The checkouts take turns,
-and which one goes first alternates from seed to seed, so a drift of the
-machine falls on both alike. Then it runs one ``--trace 1`` run of each
-workload in each checkout. Runs are sequential: nothing else of this script
-competes for the cores while a run is timed.
+in its own root. The checkouts take turns, and which one goes first
+alternates from seed to seed, so a drift of the machine falls on both
+alike. Then each checkout makes one ``--trace 1`` run of each workload.
+Runs are sequential, so no run of this script competes with a timed one.
 
 The file holds the machine (nproc, platform, python, numpy and scipy
 versions) and, per checkout, its git revision and per workload: every
@@ -82,12 +82,7 @@ def parse_args(argv=None):
     parser.add_argument("--runs", type=int, default=5)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--seed", type=int, default=9601, help="seed of the first run")
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
     args = parser.parse_args(argv)
-    args.workloads = args.workloads.split(",")
-    unknown = set(args.workloads) - set(WORKLOADS)
-    if unknown:
-        parser.error(f"unknown workloads: {sorted(unknown)}")
     labels = {}
     for item in args.checkouts:
         label, sep, path = item.partition("=")
@@ -103,7 +98,7 @@ def main(argv=None) -> int:
     labels = list(args.checkouts)
     records = {label: {"git_revision": git_revision(path), "workloads": {}}
                for label, path in args.checkouts.items()}
-    for workload in args.workloads:
+    for workload in WORKLOADS:
         runs = {label: [] for label in labels}
         for i in range(args.runs):
             seed = args.seed + i
@@ -129,7 +124,7 @@ def main(argv=None) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    for workload in args.workloads:
+    for workload in WORKLOADS:
         for m in END_TO_END:
             medians = "  ".join(
                 f"{label} {records[label]['workloads'][workload]['end_to_end'][m]['median']:.6g}"

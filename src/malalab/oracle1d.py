@@ -183,6 +183,7 @@ def kl_gaussian_vs_adversarial(eta: float, d: int, tol: float = 1e-10) -> float:
     """
     p = adversarial_cosine(d, eta)
     z = normalizing_constant(profile_for(p, tol=tol))
+    # One power, not p.w * p.w, whose last bit can differ: verify prints this.
     gaussian_cos = math.exp(-0.5 * d ** (2.0 * eta))
     return d * (math.log(z / SQRT_2PI) - p.amp * gaussian_cos)
 
@@ -193,11 +194,11 @@ def _coordinate_gaussian(
     """(amp, w, m, s) shared by the coordinate-factor oracles: y ~ N(m, s²)."""
     if not 0.0 < h < 1.0:
         raise ValueError(f"h must lie in (0, 1), got {h}")
-    if amplitude is None:
-        amplitude = adversarial_cosine(d, eta).amp
+    target = adversarial_cosine(d, eta)
+    amp = target.amp if amplitude is None else float(amplitude)
     m = (1.0 - h) * x1 / (1.0 + h * h)
     s = math.sqrt(2.0 * h / (1.0 + h * h))
-    return float(amplitude), d**eta, m, s
+    return amp, target.w, m, s
 
 
 def coordinate_factor(

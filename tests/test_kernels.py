@@ -384,7 +384,8 @@ class TestRunChain:
         # bit; the float loop must take the power, as the array step does.
         p, params = gaussian(1), KernelParams(h=0.5, variant=kernels.ULA)
         t = -run_chain(p, params, np.zeros(1), 1, seed=466).final_x[0]
-        assert float(t) ** 2 != float(t) * float(t), "pow and t * t agree on this t"
+        if float(t) ** 2 == float(t) * float(t):
+            pytest.skip("this platform's pow rounds t ** 2 like t * t")
         self._assert_bits_equal_public_step_loop(p, params, np.zeros(1), 1, 466, 1)
 
     @staticmethod

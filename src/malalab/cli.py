@@ -33,9 +33,9 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable
+from typing import Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -69,27 +69,20 @@ class SweepConfig:
     seed: int = 0
 
 
-_INT_TUPLE = {"d_grid"}
-_FLOAT_TUPLE = {"h_grid"}
-_INTS = {"n_states", "n_mc", "n_replicas", "max_steps", "n_instances", "seed"}
-_FLOATS = {"eta", "c", "p", "m0", "eps"}
+_FIELD_TYPES = get_type_hints(SweepConfig)
 
 
 def _coerce(key: str, raw: str):
-    if key in _INT_TUPLE:
-        return tuple(int(tok) for tok in raw.split(",") if tok.strip())
-    if key in _FLOAT_TUPLE:
-        return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-    if key in _INTS:
-        return int(raw)
-    if key in _FLOATS:
-        return float(raw)
-    return raw.strip()
+    """Parse ``raw`` as field ``key``'s annotated type; tuples are comma-separated."""
+    kind = _FIELD_TYPES[key]
+    if get_origin(kind) is tuple:
+        item = get_args(kind)[0]
+        return tuple(item(tok) for tok in raw.split(",") if tok.strip())
+    return kind(raw)
 
 
 def load_config(base: SweepConfig, path: str | None, sets: list[str]) -> SweepConfig:
     """Apply a key=value file and then --set overrides to the defaults."""
-    known = {f.name for f in fields(SweepConfig)}
     updates = {}
     entries: list[str] = []
     if path:
@@ -103,7 +96,7 @@ def load_config(base: SweepConfig, path: str | None, sets: list[str]) -> SweepCo
         if "=" not in line:
             raise ValueError(f"expected key=value, got {line!r}")
         key, val = (tok.strip() for tok in line.split("=", 1))
-        if key not in known:
+        if key not in _FIELD_TYPES:
             raise ValueError(f"unknown config key {key!r}")
         updates[key] = _coerce(key, val)
     return replace(base, **updates)
@@ -286,23 +279,14 @@ def cmd_finite_selftest(args) -> int:
     return 0 if all_ok else 1
 
 
-def _resolve_seed(args) -> int | None:
-    """``--seed``, else the ``SEED`` environment variable, else None."""
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("SEED")
-    if env is not None:
-        return int(env)
-    return None
-
-
 def _config(args, defaults: SweepConfig) -> SweepConfig:
-    """Defaults, then the config file and ``--set`` lines, then the resolved seed.
+    """Defaults, then the config file and ``--set`` lines, then the seed.
 
     Seed precedence: ``--seed`` > ``SEED`` > a ``seed=`` config line > 0.
     """
     cfg = load_config(defaults, args.config, args.set)
-    return cfg if args.seed is None else replace(cfg, seed=args.seed)
+    seed = args.seed if args.seed is not None else os.environ.get("SEED")
+    return cfg if seed is None else replace(cfg, seed=int(seed))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    args.seed = _resolve_seed(args)
     return args.func(args)
 
 

@@ -88,8 +88,7 @@ def _acceptance_values(p: Potential, h: float, x, n_mc: int, rng) -> np.ndarray:
     Blocks hold 2^17 elements, so each float64 temporary (1 MiB) fits in L2
     cache; rows are drawn in order, so the block size moves no draw.
     """
-    if h <= 0:
-        raise ValueError("step size must be positive")
+    kernels._check_step(h)
     x = np.asarray(x, dtype=float)
     d = x.shape[-1]
     value_x, grad_x = p.value_and_grad(x)
@@ -183,8 +182,7 @@ def gaussian_conductance_bound(x_norm2: float, h: float, d: int) -> float:
     with ||x||² <= d and h = d^{−r} for r < 1/3 this is exp(−h³d/16·(1+O(h)))
     and certifies the conductance collapse at too-large step sizes.
     """
-    if h <= 0:
-        raise ValueError("step size must be positive")
+    kernels._check_step(h)
     if x_norm2 < 0:
         raise ValueError("x_norm2 must be nonnegative")
     exponent = (

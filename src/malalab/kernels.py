@@ -32,12 +32,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from . import oracle1d
-from .potentials import Potential
+from .potentials import CUSTOM, Potential
 from .rng import substream
 
 MALA = "mala"
@@ -45,6 +44,12 @@ ULA = "ula"
 OU_EXACT = "ou_exact"
 DIFFUSION_REF = "diffusion_ref"
 _VARIANTS = (MALA, ULA, OU_EXACT, DIFFUSION_REF)
+
+
+def _check_step(h) -> None:
+    # NaN fails both comparisons, so it is rejected with 0, negatives and inf.
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step size must be positive and finite, got {h}")
 
 
 @dataclass(frozen=True)
@@ -56,8 +61,7 @@ class KernelParams:
     substeps: int = 1
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError(f"step size must be positive, got {self.h}")
+        _check_step(self.h)
         if self.variant not in _VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.substeps < 1:
@@ -90,8 +94,10 @@ class StepRecord:
 
 
 def init_chain(p: Potential, x0, seed) -> ChainState:
-    """Fresh chain state at x0 with its own derived RNG stream."""
+    """Fresh chain state at x0, one point of shape (d,), with its own RNG stream."""
     x0 = np.array(x0, dtype=float)
+    if x0.ndim != 1:
+        raise ValueError(f"start must be one point of shape (d,), got shape {x0.shape}")
     value, grad = p.value_and_grad(x0)
     return ChainState(
         x=x0, cached_value=float(value), cached_grad=grad,
@@ -110,8 +116,7 @@ def _langevin_proposal(h: float, x, grad_x, noise) -> np.ndarray:
 
 def propose_mala(p: Potential, h: float, x, rng) -> np.ndarray:
     """Draw y ~ N(x − h·∇V(x), 2h·I), one ULA step; accepts a batch (..., d)."""
-    if h <= 0:
-        raise ValueError("step size must be positive")
+    _check_step(h)
     x = np.asarray(x, dtype=float)
     return _langevin_proposal(h, x, p.grad(x), rng.standard_normal(x.shape))
 
@@ -153,8 +158,7 @@ def log_accept_ratio(p: Potential, h: float, x, y):
     rounding). ``y`` may be a batch (n, d) against a single x, or both may
     be batches of equal shape.
     """
-    if h <= 0:
-        raise ValueError("step size must be positive")
+    _check_step(h)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     value_x, grad_x = p.value_and_grad(x)
@@ -172,9 +176,9 @@ def _langevin_step(p: Potential, h: float, s: ChainState, adjusted: bool):
     y, value_y, grad_y, log_ratio = _propose_and_ratio(
         p, h, s.x, s.cached_value, s.cached_grad, s.rng, s.x.shape
     )
+    if adjusted:
+        _require_finite(log_ratio)
     log_ratio = float(log_ratio)
-    if adjusted and not math.isfinite(log_ratio):
-        raise FloatingPointError("non-finite acceptance ratio")
     accepted = not adjusted or math.log(_uniform_open(s.rng)) <= log_ratio
     if accepted:
         sq_disp = float((s.x[0] - y[0]) ** 2)
@@ -214,8 +218,7 @@ def ou_exact_step(h: float, x, rng) -> np.ndarray:
     y ~ N(e^{−h}·x, (1 − e^{−2h})·I). This is the continuous Langevin kernel
     of the standard Gaussian and satisfies the semigroup property exactly.
     """
-    if h <= 0:
-        raise ValueError("step size must be positive")
+    _check_step(h)
     x = np.asarray(x, dtype=float)
     decay = math.exp(-h)
     sigma = math.sqrt(-math.expm1(-2.0 * h))
@@ -230,6 +233,7 @@ def diffusion_reference_step(
     Approximates the time-h law of dX = −∇V(X) dt + sqrt(2) dB started at x;
     substeps=1 coincides with the MALA proposal. Accepts batches (..., d).
     """
+    _check_step(h)
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
     x = np.asarray(x, dtype=float).copy()
@@ -355,6 +359,7 @@ def batch_mala_update(p: Potential, h: float, X, rng):
     original values bitwise. Rows are independent chains, so this is the
     vectorized form of many single steps.
     """
+    _check_step(h)
     X = np.asarray(X, dtype=float)
     value_x, grad_x = p.value_and_grad(X)
     Y, _, _, log_ratios = _propose_and_ratio(p, h, X, value_x, grad_x, rng, X.shape)
@@ -364,23 +369,25 @@ def batch_mala_update(p: Potential, h: float, X, rng):
     return X_new, accepted, log_ratios
 
 
-_TABLE_CACHE: dict[tuple, oracle1d.CDFTable] = {}
+_TABLE_CACHE: dict[Potential, oracle1d.CDFTable] = {}
 
 
-def cdf_table_for(p: Potential, n_grid: int = 8193) -> oracle1d.CDFTable:
-    """Inverse-CDF table of the target's 1-D marginal (cached for built-ins)."""
-    key = p.cache_key()
-    if key is not None:
-        cached = _TABLE_CACHE.get((key, n_grid))
-        if cached is not None:
-            return cached
-    table = oracle1d.inverse_cdf_table(oracle1d.profile_for(p), n_grid=n_grid)
-    if key is not None:
-        _TABLE_CACHE[(key, n_grid)] = table
+def cdf_table_for(p: Potential) -> oracle1d.CDFTable:
+    """Inverse-CDF table of the target's 1-D marginal.
+
+    Built-in targets are cached on the Potential, which compares on (kind, d,
+    alpha, beta, eta); custom ones are not, as equal fields can hold different
+    profiles. Concurrent builders of one table all get the first one stored.
+    """
+    table = _TABLE_CACHE.get(p)
+    if table is None:
+        table = oracle1d.inverse_cdf_table(oracle1d.profile_for(p))
+        if p.kind != CUSTOM:
+            table = _TABLE_CACHE.setdefault(p, table)
     return table
 
 
-def sample_separable_target(p: Potential, n: int, seed, n_grid: int = 8193) -> np.ndarray:
+def sample_separable_target(p: Potential, n: int, seed) -> np.ndarray:
     """n i.i.d. exact draws from a separable target, one row per sample.
 
     Coordinates are sampled independently through the 1-D inverse-CDF table,
@@ -388,7 +395,7 @@ def sample_separable_target(p: Potential, n: int, seed, n_grid: int = 8193) -> n
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    table = cdf_table_for(p, n_grid=n_grid)
+    table = cdf_table_for(p)
     rng = substream(seed, "separable-sampling")
     u = rng.random((n, p.d))
     return np.asarray(table.inverse(u.ravel()), dtype=float).reshape(n, p.d)

@@ -174,7 +174,7 @@ def trig_sin_moment(ell: int, a: float, b: float, gamma: float, d: int) -> float
     return math.sin(a) * (t**4 - 6.0 * t * t + 3.0) * damp
 
 
-def kl_gaussian_vs_adversarial(eta: float, d: int, tol: float = 1e-10) -> float:
+def kl_gaussian_vs_adversarial(eta: float, d: int) -> float:
     """KL(N(0, I_d) || perturbed product target) from quadrature + closed form.
 
     Equals d·[ln(Z/sqrt(2π)) − amp·E_gamma cos(d^eta·xi)] with
@@ -182,7 +182,7 @@ def kl_gaussian_vs_adversarial(eta: float, d: int, tol: float = 1e-10) -> float:
     as exp(−d^{2·eta}/2).
     """
     p = adversarial_cosine(d, eta)
-    z = normalizing_constant(profile_for(p, tol=tol))
+    z = normalizing_constant(profile_for(p))
     # One power, not p.w * p.w, whose last bit can differ: verify prints this.
     gaussian_cos = math.exp(-0.5 * d ** (2.0 * eta))
     return d * (math.log(z / SQRT_2PI) - p.amp * gaussian_cos)
@@ -201,9 +201,15 @@ def _coordinate_gaussian(
     return amp, target.w, m, s
 
 
+def _coordinate_exponent(y, x1, h, amp, w, sin_wy, cos_wy):
+    """Exponent of :func:`coordinate_factor`'s integrand at y (floats or arrays),
+    given sin(w·y) and cos(w·y)."""
+    return (amp * cos_wy + ((1.0 - h) * y - x1) * (0.5 * amp * w) * sin_wy
+            - 0.25 * h * (amp * w * sin_wy) ** 2)
+
+
 def coordinate_factor(
-    x1: float, h: float, eta: float, d: int,
-    amplitude: float | None = None, tol: float = 1e-10,
+    x1: float, h: float, eta: float, d: int, amplitude: float | None = None,
 ) -> float:
     """Per-coordinate acceptance factor of the collapse mechanism.
 
@@ -212,8 +218,8 @@ def coordinate_factor(
         E exp[ amp·cos(w·y) + ((1−h)·y − x1)·(amp·w/2)·sin(w·y)
                − (h/4)·(amp·w)²·sin²(w·y) ]
 
-    with w = d^eta and amp defaulting to 1/(2 d^{2·eta}). Integration is in
-    the standardized variable y = m + s·xi with xi standard Gaussian.
+    with w = d^eta and amp defaulting to 1/(2 d^{2·eta}), integrated to 1e-10
+    (absolute) in the standardized variable y = m + s·xi, xi ~ N(0, 1).
 
     This is the y-dependent part of the per-coordinate MALA log ratio.
     Averaging the ratio pi(y)·Q_y(x)/(pi(x)·Q_x(y)) over the proposal y ~ Q_x
@@ -235,15 +241,10 @@ def coordinate_factor(
 
     def integrand(xi: float) -> float:
         y = m + s * xi
-        sin_wy = math.sin(w * y)
-        expo = (
-            amp * math.cos(w * y)
-            + ((1.0 - h) * y - x1) * (0.5 * amp * w) * sin_wy
-            - 0.25 * h * (amp * w * sin_wy) ** 2
-        )
+        expo = _coordinate_exponent(y, x1, h, amp, w, math.sin(w * y), math.cos(w * y))
         return math.exp(expo - 0.5 * xi * xi) / SQRT_2PI
 
-    return _integrate(integrand, -12.0, 12.0, tol)
+    return _integrate(integrand, -12.0, 12.0, 1e-10)
 
 
 def coordinate_factor_first_order(x1: float, h: float, eta: float, d: int) -> float:

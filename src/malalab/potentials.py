@@ -30,6 +30,8 @@ from typing import Callable
 
 import numpy as np
 
+from .rng import substream
+
 GAUSSIAN = "gaussian"
 ADVERSARIAL = "adversarial"
 CUSTOM = "custom"
@@ -127,12 +129,6 @@ class Potential:
         """Derivative v' of the 1-D profile."""
         return self._dv(np.asarray(t, dtype=float))
 
-    def cache_key(self) -> tuple | None:
-        """Hashable identity for table caching; None for custom profiles."""
-        if self.kind == CUSTOM:
-            return None
-        return (self.kind, self.d, self.eta)
-
 
 def gaussian(d: int) -> Potential:
     """Standard Gaussian target on R^d."""
@@ -174,8 +170,6 @@ class RegularityReport:
     """Outcome of numerically probing the claimed curvature bounds."""
 
     n_probes: int
-    eps: float
-    tol: float
     alpha: float
     beta: float
     min_curvature: float
@@ -185,9 +179,7 @@ class RegularityReport:
     passed: bool
 
 
-def verify_regularity(
-    p: Potential, n_probes: int, seed, eps: float = 1e-3, tol: float = 1e-3
-) -> RegularityReport:
+def verify_regularity(p: Potential, n_probes: int, seed) -> RegularityReport:
     """Probe directional second differences against the claimed (alpha, beta).
 
     Draws random points x = r·u with log-uniform radius r and uniform unit
@@ -195,11 +187,10 @@ def verify_regularity(
 
         (V(x + eps·u') − 2 V(x) + V(x − eps·u')) / eps²
 
-    lies in [alpha − tol, beta + tol] for a fresh unit direction u'. Failures
-    are reported, not raised.
+    lies in [alpha − tol, beta + tol] for a fresh unit direction u', with
+    eps = tol = 1e-3. Failures are reported, not raised.
     """
-    from .rng import substream
-
+    eps = tol = 1e-3
     if n_probes < 1:
         raise ValueError("n_probes must be >= 1")
     rng = substream(seed, "verify-regularity")
@@ -219,8 +210,6 @@ def verify_regularity(
     n_above = int(np.sum(curvs > p.beta + tol))
     return RegularityReport(
         n_probes=n_probes,
-        eps=eps,
-        tol=tol,
         alpha=p.alpha,
         beta=p.beta,
         min_curvature=float(curvs.min()),

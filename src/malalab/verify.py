@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -157,12 +156,8 @@ def oracle_checks(seed: int) -> list[CheckResult]:
     n_cf = 200_000
     y = ((1.0 - h) * x1 / (1.0 + h * h)
          + math.sqrt(2.0 * h / (1.0 + h * h)) * rng_cf.standard_normal(n_cf))
-    sin_wy = np.sin(w * y)
-    mc_vals = np.exp(
-        amp * np.cos(w * y)
-        + ((1.0 - h) * y - x1) * (0.5 * amp * w) * sin_wy
-        - 0.25 * h * (amp * w * sin_wy) ** 2
-    )
+    mc_vals = np.exp(oracle1d._coordinate_exponent(
+        y, x1, h, amp, w, np.sin(w * y), np.cos(w * y)))
     z = abs(quad_val - float(mc_vals.mean())) / (
         float(mc_vals.std(ddof=1)) / math.sqrt(n_cf)
     )
@@ -212,9 +207,13 @@ def _direct_density_log_ratio(p, h, x, y):
     return (-p.value(y) + bwd) - (-p.value(x) + fwd)
 
 
-def kernel_checks(seed: int, ratio_fn: Callable | None = None) -> list[CheckResult]:
+def kernel_checks(seed: int, corrupt_accept: bool = False) -> list[CheckResult]:
+    """Kernel identity rows; ``corrupt_accept`` adds 0.05 to each log ratio read."""
+    def corrupted(p, h, x, y):
+        return kernels.log_accept_ratio(p, h, x, y) + 0.05
+
+    ratio = corrupted if corrupt_accept else kernels.log_accept_ratio
     rows: list[CheckResult] = []
-    ratio = ratio_fn if ratio_fn is not None else kernels.log_accept_ratio
 
     d, h = 16, 0.3
     rng = substream(seed, "verify", "pairs")
@@ -381,13 +380,8 @@ def run_all_checks(seed: int, corrupt_accept: bool = False) -> list[CheckResult]
     """Full verification suite; ``corrupt_accept`` is a test fixture that
     biases the acceptance-ratio path and must make the log_accept checks fail.
     """
-    ratio_fn = None
-    if corrupt_accept:
-        def ratio_fn(p, h, x, y):
-            return kernels.log_accept_ratio(p, h, x, y) + 0.05
-
     rows = oracle_checks(seed)
-    rows.extend(kernel_checks(seed, ratio_fn=ratio_fn))
+    rows.extend(kernel_checks(seed, corrupt_accept))
     rows.extend(finite_chain_checks(seed))
     return rows
 

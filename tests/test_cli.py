@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -151,6 +152,26 @@ class TestConfig:
         assert cfg.kind == "adversarial"
         assert cfg.d_grid == (64, 128)
         assert cfg.n_states == 25
+
+    def test_every_field_parses_to_its_annotated_type(self):
+        sets = {"kind": "adversarial", "eta": "0.15", "d_grid": "16, 32",
+                "h_rule": "fixed", "c": "2", "p": "-0.5", "h_grid": "0.1,1",
+                "n_states": "12", "n_mc": "13", "n_replicas": "14", "m0": "3",
+                "eps": "0.1", "max_steps": "15", "start": "exact",
+                "n_instances": "16", "seed": "17"}
+        expected = SweepConfig(kind="adversarial", eta=0.15, d_grid=(16, 32),
+                               h_rule="fixed", c=2.0, p=-0.5, h_grid=(0.1, 1.0),
+                               n_states=12, n_mc=13, n_replicas=14, m0=3.0,
+                               eps=0.1, max_steps=15, start="exact",
+                               n_instances=16, seed=17)
+        assert set(sets) == {f.name for f in dataclasses.fields(SweepConfig)}
+        cfg = load_config(SweepConfig(), None, [f"{k}={v}" for k, v in sets.items()])
+        assert cfg == expected
+        for name in sets:
+            got, want = getattr(cfg, name), getattr(expected, name)
+            assert type(got) is type(want), name
+            if isinstance(want, tuple):
+                assert [type(v) for v in got] == [type(v) for v in want], name
 
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ValueError):

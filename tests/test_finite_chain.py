@@ -5,7 +5,9 @@ import pytest
 
 from malalab.finite_chain import (
     EXACT_TOL,
+    EvolveReport,
     FiniteChain,
+    FiniteProjectionReport,
     detailed_balance_error,
     evolve_and_check,
     metropolize,
@@ -155,8 +157,7 @@ class TestProjectionCheck:
         for _ in range(500):
             pi, Q, Qbar = random_projection_triple(int(rng.integers(2, 9)), rng)
             report = projection_check(Q, Qbar, pi)
-            assert report.global_ok
-            assert report.states_ok
+            assert report.passed
 
     def test_non_reversible_qbar_rejected(self):
         Qbar = np.array([[0.1, 0.9], [0.6, 0.4]])
@@ -200,3 +201,15 @@ class TestEvolveAndCheck:
         chain = metropolize(TWO_STATE_Q, TWO_STATE_PI)
         with pytest.raises(ValueError):
             evolve_and_check(chain, np.array([0.7, 0.7]), 5)
+
+
+def test_reports_fail_on_a_nan_or_a_violation():
+    nan, over = math.nan, 2.0 * EXACT_TOL
+    for violations in ((nan, 0.0, 0.0), (0.0, nan, 0.0), (0.0, 0.0, over)):
+        assert not EvolveReport(1, 1.0, *violations).passed
+    assert EvolveReport(1, 1.0, EXACT_TOL, 0.0, -1.0).passed
+    ok, bad = np.zeros(2), np.array([0.0, nan])
+    assert FiniteProjectionReport(1.0, 1.0 - EXACT_TOL, ok, ok).passed
+    for lhs, rhs, state_lhs in ((nan, 1.0, ok), (1.0, nan, ok), (0.0, 1.0, bad),
+                                (1.0 + over, 1.0, ok)):
+        assert not FiniteProjectionReport(lhs, rhs, state_lhs, ok).passed

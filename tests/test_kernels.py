@@ -1,10 +1,13 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from malalab import kernels
+from malalab import diagnostics, kernels
 from malalab.kernels import (
     KernelParams,
     batch_mala_update,
@@ -19,7 +22,7 @@ from malalab.kernels import (
     ula_step,
 )
 from malalab.oracle1d import adversarial_profile, profile_for, quad_expectation
-from malalab.potentials import Potential, adversarial_cosine, gaussian
+from malalab.potentials import Potential, adversarial_cosine, custom_separable, gaussian
 from malalab.rng import substream
 
 
@@ -474,3 +477,75 @@ def test_kernel_params_validation():
     with pytest.raises(ValueError):
         mala_step(gaussian(2), KernelParams(h=0.1, variant=kernels.ULA),
                   init_chain(gaussian(2), np.zeros(2), 0))
+
+
+# One call per place that takes a step size; each must reject h outside (0, inf).
+STEP_SITES = {
+    "KernelParams": lambda h: KernelParams(h=h),
+    "propose_mala": lambda h: propose_mala(gaussian(2), h, np.zeros(2), substream(0, "h")),
+    "log_accept_ratio": lambda h: log_accept_ratio(gaussian(2), h, np.zeros(2), np.ones(2)),
+    "ou_exact_step": lambda h: ou_exact_step(h, np.zeros(2), substream(0, "h")),
+    "diffusion_reference_step":
+        lambda h: diffusion_reference_step(gaussian(2), h, np.zeros(2), 1, substream(0, "h")),
+    "batch_mala_update":
+        lambda h: batch_mala_update(gaussian(2), h, np.zeros((3, 2)), substream(0, "h")),
+    "acceptance_values": lambda h: diagnostics.acceptance_at(gaussian(2), h, np.zeros(2), 8, 0),
+    "gaussian_conductance_bound": lambda h: diagnostics.gaussian_conductance_bound(3.0, h, 3),
+}
+
+
+@pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("site", sorted(STEP_SITES))
+def test_step_size_outside_positive_reals_rejected(site, h):
+    with pytest.raises(ValueError, match="step size"):
+        STEP_SITES[site](h)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_start_must_be_a_single_point(d):
+    p, params = gaussian(d), KernelParams(h=0.2)
+    for x0 in (np.zeros((1, d)), np.zeros((3, d))):
+        with pytest.raises(ValueError, match=r"shape \(d,\)"):
+            init_chain(p, x0, 0)
+        with pytest.raises(ValueError, match=r"shape \(d,\)"):
+            run_chain(p, params, x0, 5, seed=0)
+
+
+class TestTableCache:
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_TABLE_CACHE", {})
+
+    def test_equal_builtin_targets_share_one_table(self):
+        for make in (lambda: gaussian(3), lambda: adversarial_cosine(64, 0.2)):
+            assert kernels.cdf_table_for(make()) is kernels.cdf_table_for(make())
+        assert len(kernels._TABLE_CACHE) == 2
+
+    def test_custom_targets_with_equal_fields_get_their_own_tables(self):
+        # Equal (d, alpha, beta), so equal Potentials, but different profiles:
+        # N(0, 1) and N(0, 1/2) marginals.
+        a = custom_separable(1, lambda t: 0.5 * t * t, lambda t: t, (1.0, 2.0))
+        b = custom_separable(1, lambda t: t * t, lambda t: 2.0 * t, (1.0, 2.0))
+        assert a == b
+        q_a, q_b = kernels.cdf_table_for(a).inverse(0.9), kernels.cdf_table_for(b).inverse(0.9)
+        assert q_a == pytest.approx(stats.norm.ppf(0.9), abs=1e-6)
+        assert q_b == pytest.approx(stats.norm.ppf(0.9) / math.sqrt(2.0), abs=1e-6)
+        assert kernels._TABLE_CACHE == {}
+
+    def test_concurrent_builders_share_one_table(self):
+        p, n_threads = gaussian(5), 4
+        barrier = threading.Barrier(n_threads)
+
+        def build():
+            barrier.wait(timeout=30)
+            return kernels.cdf_table_for(p)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(n_threads) as pool:
+                futures = [pool.submit(build) for _ in range(n_threads)]
+                tables = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(t is kernels._TABLE_CACHE[p] for t in tables)

@@ -1,13 +1,14 @@
-"""Run a pinned set of malalab CLI invocations and print one md5 per output.
+"""Run a pinned set of malalab invocations and print one md5 per output.
 
     python3 tools/golden_outputs.py OUT_DIR [--source CHECKOUT]
 
 Each invocation runs in a fresh interpreter with ``CHECKOUT/src`` first on
 ``PYTHONPATH`` (default: the checkout holding this script) and with
 ``OUT_DIR`` as its working directory, so the progress line it prints names
-a relative path. The CSV and the captured stdout of every run are written
-to ``OUT_DIR``; the script prints ``<md5>  <file>`` for each, sorted by
-name. Running it on two commits and comparing the listings shows whether a
+a relative path. The CSV and the captured stdout of every CLI run are
+written to ``OUT_DIR``, and so is ``run_chain.txt`` from the pinned
+``run_chain`` script; the script prints ``<md5>  <file>`` for each, sorted
+by name. Running it on two commits and comparing the listings shows whether a
 refactor left every output byte-identical. Uses the standard library only.
 """
 
@@ -33,6 +34,25 @@ PINNED = (
     ("finite_selftest", ["finite-selftest", "--seed", "7", "--set", "n_instances=30"]),
 )
 
+# run_chain, which no CLI command reaches: MALA and ULA on both targets at
+# d = 1 (the float loop) and d = 7, every state recorded. Floats are written
+# by repr, which round-trips every bit.
+RUN_CHAIN = """
+import sys
+from malalab.kernels import MALA, ULA, KernelParams, run_chain
+from malalab.potentials import adversarial_cosine, gaussian
+with open(sys.argv[1], "w", encoding="utf-8") as fh:
+    for d in (1, 7):
+        for p in (gaussian(d), adversarial_cosine(d, 0.2)):
+            for variant in (MALA, ULA):
+                res = run_chain(p, KernelParams(h=0.2, variant=variant), [0.5] * d,
+                                1000, seed=11, thin=1)
+                print(p.kind, d, variant, res.n_accepted, repr(res.mean_sq_displacement_coord1),
+                      res.final_x.tolist(), file=fh)
+                for row in res.trajectory.tolist():
+                    print(*map(repr, row), file=fh)
+"""
+
 
 def run_pinned(source: str, out_dir: str) -> list[str]:
     """Run every pinned invocation; return the names of the files written."""
@@ -40,19 +60,23 @@ def run_pinned(source: str, out_dir: str) -> list[str]:
     env.pop("SEED", None)
     src = os.path.join(source, "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+
+    def run(name, args):
+        proc = subprocess.run([sys.executable, *args], cwd=out_dir, env=env,
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise RuntimeError(f"{name} exited {proc.returncode}:\n{proc.stderr}")
+        return proc.stdout
+
     written = []
     for name, argv in PINNED:
         csv_name, stdout_name = f"{name}.csv", f"{name}.stdout"
-        proc = subprocess.run(
-            [sys.executable, "-m", "malalab", *argv, "--out", csv_name],
-            cwd=out_dir, env=env, capture_output=True, text=True,
-        )
-        if proc.returncode != 0:
-            raise RuntimeError(f"{name} exited {proc.returncode}:\n{proc.stderr}")
+        stdout = run(name, ["-m", "malalab", *argv, "--out", csv_name])
         with open(os.path.join(out_dir, stdout_name), "w", encoding="utf-8") as fh:
-            fh.write(proc.stdout)
+            fh.write(stdout)
         written += [csv_name, stdout_name]
-    return sorted(written)
+    run("run_chain", ["-c", RUN_CHAIN, "run_chain.txt"])
+    return sorted(written + ["run_chain.txt"])
 
 
 def md5_of(path: str) -> str:

@@ -46,17 +46,12 @@ from .kernels import (
 )
 from .oracle1d import (
     CDFTable,
-    Profile1D,
-    adversarial_profile,
     coordinate_factor,
     coordinate_factor_first_order,
-    expected_cos,
-    gaussian_profile,
     gaussian_tv_equal_cov,
     inverse_cdf_table,
     kl_gaussian_vs_adversarial,
     normalizing_constant,
-    profile_for,
     quad_expectation,
     trig_sin_moment,
 )

@@ -255,7 +255,11 @@ class ProjectionReport:
     threshold: float
     n_states: int
     n_mc: int
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        """lhs <= threshold; a NaN fails."""
+        return self.lhs.value <= self.threshold
 
 
 def projection_check_gaussian(
@@ -301,7 +305,7 @@ def projection_check_gaussian(
     )
     return ProjectionReport(
         lhs=lhs_est, rhs=rhs_est, threshold=threshold,
-        n_states=n_states, n_mc=n_mc, passed=lhs_est.value <= threshold,
+        n_states=n_states, n_mc=n_mc,
     )
 
 

@@ -369,21 +369,22 @@ def batch_mala_update(p: Potential, h: float, X, rng):
     return X_new, accepted, log_ratios
 
 
-_TABLE_CACHE: dict[Potential, oracle1d.CDFTable] = {}
+_TABLE_CACHE: dict[tuple, oracle1d.CDFTable] = {}
 
 
 def cdf_table_for(p: Potential) -> oracle1d.CDFTable:
     """Inverse-CDF table of the target's 1-D marginal.
 
-    Built-in targets are cached on the Potential, which compares on (kind, d,
-    alpha, beta, eta); custom ones are not, as equal fields can hold different
-    profiles. Concurrent builders of one table all get the first one stored.
+    Built-in targets are cached on (kind, alpha, w, amp), all the table reads;
+    custom ones are not, as equal fields can hold different profiles.
+    Concurrent builders of one table all get the first one stored.
     """
-    table = _TABLE_CACHE.get(p)
+    key = (p.kind, p.alpha, p.w, p.amp)
+    table = _TABLE_CACHE.get(key)
     if table is None:
-        table = oracle1d.inverse_cdf_table(oracle1d.profile_for(p))
+        table = oracle1d.inverse_cdf_table(p)
         if p.kind != CUSTOM:
-            table = _TABLE_CACHE.setdefault(p, table)
+            table = _TABLE_CACHE.setdefault(key, table)
     return table
 
 

@@ -1,16 +1,17 @@
 """High-accuracy 1-D quadrature and closed forms for the marginal target.
 
 This module is the independent oracle layer behind the statistical tests:
-expectations under the 1-D marginal pi_1 ∝ exp(−v), the normalizing
-constant, the cosine moment of the perturbed marginal, exact trigonometric
-Gaussian moments, the KL divergence of the standard Gaussian from the
-perturbed product target, the per-coordinate acceptance factor of the
-collapse mechanism and its first-order part in closed form, the
-equal-covariance Gaussian TV closed form, and an inverse-CDF table for exact
-sampling.
+expectations under the 1-D marginal pi_1 ∝ exp(−v) of a target's profile v
+(:meth:`Potential.profile_value`) and its normalizing constant, both taking
+the target's Potential; exact trigonometric Gaussian moments, the KL
+divergence of the standard Gaussian from the perturbed product target, the
+per-coordinate acceptance factor of the collapse mechanism and its
+first-order part in closed form, the equal-covariance Gaussian TV closed
+form, and an inverse-CDF table of a target's marginal for exact sampling.
 
-The quadrature contract is absolute tolerance with refinement until the
-error estimate passes; integration is delegated to adaptive Gauss-Kronrod
+The quadrature contract is absolute tolerance (TOL unless a caller of
+:func:`quad_expectation` asks for another) with refinement until the error
+estimate passes; integration is delegated to adaptive Gauss-Kronrod
 (scipy.integrate.quad) and re-run with a larger subdivision limit before
 giving up with :class:`AccuracyError`.
 """
@@ -18,7 +19,6 @@ giving up with :class:`AccuracyError`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -26,7 +26,7 @@ from scipy import integrate
 from scipy.interpolate import PchipInterpolator
 from scipy.special import erfc
 
-from .potentials import Potential, adversarial_cosine, gaussian
+from .potentials import Potential, adversarial_cosine
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -39,76 +39,28 @@ class ConsistencyError(RuntimeError):
     """A numerically constructed object violated its own invariants."""
 
 
-@dataclass(frozen=True)
-class Profile1D:
-    """1-D potential profile v with certified integration domain [−R, R].
-
-    ``curvature_lb`` and ``offset`` certify the Gaussian domination
-    v(t) ≥ curvature_lb·t²/2 − offset used to bound the tail mass beyond
-    ±radius below ``tol``.
-    """
-
-    v: Callable
-    radius: float
-    tol: float = 1e-10
-    curvature_lb: float = 1.0
-    offset: float = 0.0
+#: Absolute tolerance of every oracle integral, and of the tables' tail mass.
+TOL = 1e-10
+#: Nodes of every inverse-CDF table.
+N_GRID = 8193
 
 
-def _tail_mass_bound(radius: float, curvature_lb: float, offset: float) -> float:
-    # 2·e^offset ∫_R^∞ e^{−lb·t²/2} dt = e^offset · sqrt(2π/lb) · erfc(R·sqrt(lb/2))
-    lb = curvature_lb
-    return math.exp(offset) * math.sqrt(2.0 * math.pi / lb) * float(
-        erfc(radius * math.sqrt(lb / 2.0))
-    )
-
-
-def make_profile(
-    v: Callable,
-    curvature_lb: float,
-    offset: float = 0.0,
-    tol: float = 1e-10,
-    radius: float | None = None,
-) -> Profile1D:
-    """Construct a profile with the default truncation radius and certify its tail.
-
-    The radius defaults to max(10, 10/sqrt(curvature_lb)); the dominating
-    Gaussian bound must put less than ``tol`` mass beyond ±radius.
-    """
-    if curvature_lb <= 0:
-        raise ValueError("curvature_lb must be positive")
-    if radius is None:
-        radius = max(10.0, 10.0 / math.sqrt(curvature_lb))
-    if _tail_mass_bound(radius, curvature_lb, offset) > tol:
-        raise ValueError(
-            f"tail mass beyond ±{radius} not certified below tol={tol}"
-        )
-    return Profile1D(
-        v=v, radius=float(radius), tol=tol,
-        curvature_lb=float(curvature_lb), offset=float(offset),
-    )
-
-
-def gaussian_profile(tol: float = 1e-10) -> Profile1D:
-    """Profile of the standard Gaussian marginal, v(t) = t²/2."""
-    return profile_for(gaussian(1), tol=tol)
-
-
-def adversarial_profile(d: int, eta: float, tol: float = 1e-10) -> Profile1D:
-    """Profile of the perturbed marginal, v(t) = t²/2 − cos(d^eta·t)/(2 d^{2·eta})."""
-    return profile_for(adversarial_cosine(d, eta), tol=tol)
-
-
-def profile_for(p: Potential, tol: float = 1e-10) -> Profile1D:
-    """1-D marginal profile of a target, v = :meth:`Potential.profile_value`.
+def _radius(p: Potential, tol: float) -> float:
+    """Radius R = max(10, 10/sqrt(alpha)) of the integration domain [−R, R].
 
     Profiles are symmetric with a minimum at 0 per the package contract, so
-    v(t) >= v(0) + alpha·t²/2 certifies the tail.
+    v(t) >= v(0) + alpha·t²/2 bounds the mass beyond ±R by
+    e^offset·sqrt(2π/alpha)·erfc(R·sqrt(alpha/2)), offset = max(0, −v(0));
+    that bound must be at most ``tol``.
     """
-    v0 = float(p.profile_value(0.0))
-    return make_profile(
-        p.profile_value, curvature_lb=p.alpha, offset=max(0.0, -v0), tol=tol
+    radius = max(10.0, 10.0 / math.sqrt(p.alpha))
+    offset = max(0.0, -float(p.profile_value(0.0)))
+    tail = math.exp(offset) * math.sqrt(2.0 * math.pi / p.alpha) * float(
+        erfc(radius * math.sqrt(p.alpha / 2.0))
     )
+    if tail > tol:
+        raise ValueError(f"tail mass beyond ±{radius} not certified below tol={tol}")
+    return radius
 
 
 def _integrate(f, lo: float, hi: float, tol: float) -> float:
@@ -125,32 +77,28 @@ def _integrate(f, lo: float, hi: float, tol: float) -> float:
     )
 
 
-def normalizing_constant(prof: Profile1D) -> float:
-    """Z = ∫ exp(−v) over [−R, R], to the profile's absolute tolerance."""
-    return _integrate(
-        lambda t: math.exp(-float(prof.v(t))), -prof.radius, prof.radius, prof.tol
-    )
+def _density(p: Potential) -> Callable[[float], float]:
+    return lambda t: math.exp(-float(p.profile_value(t)))
 
 
-def quad_expectation(prof: Profile1D, g: Callable) -> float:
-    """E_{pi_1}[g] = ∫ g·exp(−v) / Z, to roughly the profile's tolerance.
+def normalizing_constant(p: Potential) -> float:
+    """Z = ∫ exp(−v) over [−R, R] for the target's 1-D profile v, to TOL."""
+    radius = _radius(p, TOL)
+    return _integrate(_density(p), -radius, radius, TOL)
+
+
+def quad_expectation(p: Potential, g: Callable, tol: float = TOL) -> float:
+    """E_{pi_1}[g] = ∫ g·exp(−v) / Z under the target's marginal, to about tol.
 
     ``g`` must be scalar-evaluable and dominated by a polynomial so the
     truncated domain carries the full integral up to the certified tail.
     """
-    inner = prof.tol / 4.0
-    z = _integrate(lambda t: math.exp(-float(prof.v(t))), -prof.radius, prof.radius, inner)
-    num = _integrate(
-        lambda t: float(g(t)) * math.exp(-float(prof.v(t))),
-        -prof.radius, prof.radius, inner,
-    )
+    radius = _radius(p, tol)
+    density = _density(p)
+    inner = tol / 4.0
+    z = _integrate(density, -radius, radius, inner)
+    num = _integrate(lambda t: float(g(t)) * density(t), -radius, radius, inner)
     return num / z
-
-
-def expected_cos(prof: Profile1D, eta: float, d: int) -> float:
-    """E_{pi_1}[cos(d^eta · x)] under the profile's marginal."""
-    w = d**eta
-    return quad_expectation(prof, lambda t: math.cos(w * t))
 
 
 def trig_sin_moment(ell: int, a: float, b: float, gamma: float, d: int) -> float:
@@ -182,7 +130,7 @@ def kl_gaussian_vs_adversarial(eta: float, d: int) -> float:
     as exp(−d^{2·eta}/2).
     """
     p = adversarial_cosine(d, eta)
-    z = normalizing_constant(profile_for(p))
+    z = normalizing_constant(p)
     # One power, not p.w * p.w, whose last bit can differ: verify prints this.
     gaussian_cos = math.exp(-0.5 * d ** (2.0 * eta))
     return d * (math.log(z / SQRT_2PI) - p.amp * gaussian_cos)
@@ -244,7 +192,7 @@ def coordinate_factor(
         expo = _coordinate_exponent(y, x1, h, amp, w, math.sin(w * y), math.cos(w * y))
         return math.exp(expo - 0.5 * xi * xi) / SQRT_2PI
 
-    return _integrate(integrand, -12.0, 12.0, 1e-10)
+    return _integrate(integrand, -12.0, 12.0, TOL)
 
 
 def coordinate_factor_first_order(x1: float, h: float, eta: float, d: int) -> float:
@@ -320,20 +268,20 @@ class CDFTable:
         return float(out) if out.ndim == 0 else out
 
 
-def inverse_cdf_table(prof: Profile1D, n_grid: int = 8193) -> CDFTable:
-    """Tabulate the profile's CDF on a uniform grid with per-cell Simpson rule.
+def inverse_cdf_table(p: Potential) -> CDFTable:
+    """Tabulate the CDF of the target's 1-D marginal on N_GRID uniform nodes
+    over [−R, R] with a per-cell Simpson rule.
 
-    The tail mass beyond the grid is certified below the profile tolerance
-    at construction time, so the table is normalized to [0, 1] exactly.
+    The tail mass beyond the grid is certified below TOL, so the table is
+    normalized to [0, 1] exactly.
     """
-    if n_grid < 64:
-        raise ValueError(f"n_grid must be at least 64, got {n_grid}")
-    grid = np.linspace(-prof.radius, prof.radius, n_grid)
+    radius = _radius(p, TOL)
+    grid = np.linspace(-radius, radius, N_GRID)
     mids = 0.5 * (grid[:-1] + grid[1:])
-    f_nodes = np.exp(-np.asarray(prof.v(grid), dtype=float))
-    f_mids = np.exp(-np.asarray(prof.v(mids), dtype=float))
+    f_nodes = np.exp(-p.profile_value(grid))
+    f_mids = np.exp(-p.profile_value(mids))
     dx = grid[1] - grid[0]
     increments = (dx / 6.0) * (f_nodes[:-1] + 4.0 * f_mids + f_nodes[1:])
     cdf = np.concatenate(([0.0], np.cumsum(increments)))
     cdf /= cdf[-1]
-    return CDFTable(grid, cdf, tol=prof.tol)
+    return CDFTable(grid, cdf, tol=TOL)

@@ -176,7 +176,12 @@ class RegularityReport:
     max_curvature: float
     n_below_alpha: int
     n_above_beta: int
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        """No probe below alpha, above beta or NaN (a NaN is in min and max)."""
+        return (self.n_below_alpha == 0 and self.n_above_beta == 0
+                and not np.isnan([self.min_curvature, self.max_curvature]).any())
 
 
 def verify_regularity(p: Potential, n_probes: int, seed) -> RegularityReport:
@@ -216,7 +221,6 @@ def verify_regularity(p: Potential, n_probes: int, seed) -> RegularityReport:
         max_curvature=float(curvs.max()),
         n_below_alpha=n_below,
         n_above_beta=n_above,
-        passed=(n_below == 0 and n_above == 0),
     )
 
 

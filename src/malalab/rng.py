@@ -2,11 +2,11 @@
 
 All randomness in the package flows from a single master seed. Independent
 streams are derived with ``substream(seed, *path)``, where ``path`` is a
-sequence of small ints or short strings naming the consumer, e.g.
-``substream(7, "sweep", 3, "proposals")``. The derivation maps each path
-element to a 32-bit key (strings through SHA-256) and feeds the tuple to
-``numpy.random.SeedSequence`` as a spawn key, so streams are reproducible
-and independent of scheduling or execution order.
+sequence of nonnegative ints or short strings naming the consumer, e.g.
+``substream(7, "sweep", 3, "proposals")``. Ints enter the spawn key as they
+are and strings as 32-bit keys through SHA-256; the tuple is fed to
+``numpy.random.SeedSequence``, so streams are reproducible and independent
+of scheduling or execution order.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ def _key_part(part) -> int:
     if isinstance(part, (int, np.integer)):
         if part < 0:
             raise ValueError(f"stream path ints must be nonnegative, got {part}")
-        return int(part) % (2**32)
+        return int(part)
     if isinstance(part, str):
         digest = hashlib.sha256(part.encode("utf-8")).digest()
         return int.from_bytes(digest[:4], "little")

@@ -40,19 +40,19 @@ class CheckResult:
     value: float
     bound: float
     slack: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        """slack >= 0; a NaN slack fails."""
+        return self.slack >= 0.0
 
 
 def _leq(name: str, value: float, bound: float) -> CheckResult:
-    slack = bound - value
-    return CheckResult(name=name, value=float(value), bound=float(bound),
-                       slack=float(slack), passed=slack >= 0.0)
+    return CheckResult(name, float(value), float(bound), float(bound - value))
 
 
 def _geq(name: str, value: float, bound: float) -> CheckResult:
-    slack = value - bound
-    return CheckResult(name=name, value=float(value), bound=float(bound),
-                       slack=float(slack), passed=slack >= 0.0)
+    return CheckResult(name, float(value), float(bound), float(value - bound))
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +61,7 @@ def _geq(name: str, value: float, bound: float) -> CheckResult:
 
 def oracle_checks(seed: int) -> list[CheckResult]:
     rows: list[CheckResult] = []
-    gauss = oracle1d.gaussian_profile()
+    gauss = gaussian(1)
 
     rows.append(_leq(
         "oracle_quad_normalization_gaussian",
@@ -83,7 +83,7 @@ def oracle_checks(seed: int) -> list[CheckResult]:
     ))
     rows.append(_geq(
         "oracle_norm_const_adversarial_exceeds_gaussian",
-        oracle1d.normalizing_constant(oracle1d.adversarial_profile(256, 0.2))
+        oracle1d.normalizing_constant(adversarial_cosine(256, 0.2))
         - oracle1d.SQRT_2PI,
         0.0,
     ))
@@ -119,11 +119,11 @@ def oracle_checks(seed: int) -> list[CheckResult]:
     worst_z, worst_m2, worst_kl, min_kl = 0.0, 0.0, 0.0, math.inf
     for k in range(8, 17, 2):
         d = 2**k
-        prof = oracle1d.adversarial_profile(d, eta)
+        p = adversarial_cosine(d, eta)
         rate = d ** (-4.0 * eta)
-        z = oracle1d.normalizing_constant(prof)
+        z = oracle1d.normalizing_constant(p)
         worst_z = max(worst_z, abs(z / oracle1d.SQRT_2PI - 1.0) / rate)
-        m2 = oracle1d.quad_expectation(prof, lambda x: x * x)
+        m2 = oracle1d.quad_expectation(p, lambda x: x * x)
         worst_m2 = max(worst_m2, abs(m2 - 1.0) / rate)
         kl = oracle1d.kl_gaussian_vs_adversarial(eta, d)
         worst_kl = max(worst_kl, kl / d ** (1.0 - 4.0 * eta))
@@ -133,10 +133,8 @@ def oracle_checks(seed: int) -> list[CheckResult]:
     rows.append(_leq("oracle_kl_rate", worst_kl, 2.0))
     rows.append(_geq("oracle_kl_nonnegative", min_kl, -1e-8))
 
-    d = 2**14
-    ratio = oracle1d.expected_cos(oracle1d.adversarial_profile(d, eta), eta, d) / (
-        0.5 * adversarial_cosine(d, eta).amp
-    )
+    p = adversarial_cosine(2**14, eta)
+    ratio = oracle1d.quad_expectation(p, lambda x: math.cos(p.w * x)) / (0.5 * p.amp)
     rows.append(_leq("oracle_expected_cos_ratio_high", ratio, 1.2))
     rows.append(_geq("oracle_expected_cos_ratio_low", ratio, 0.8))
 
@@ -174,7 +172,7 @@ def oracle_checks(seed: int) -> list[CheckResult]:
         1e-12,
     ))
 
-    table = oracle1d.inverse_cdf_table(oracle1d.adversarial_profile(256, eta))
+    table = oracle1d.inverse_cdf_table(adversarial_cosine(256, eta))
     us = np.linspace(0.01, 0.99, 99)
     rows.append(_leq(
         "oracle_inverse_cdf_roundtrip",
@@ -185,12 +183,11 @@ def oracle_checks(seed: int) -> list[CheckResult]:
         "oracle_inverse_cdf_median", abs(gauss_table.inverse(0.5)), 1e-8,
     ))
 
-    prof_coarse = oracle1d.adversarial_profile(1024, eta, tol=1e-8)
-    prof_fine = oracle1d.adversarial_profile(1024, eta, tol=5e-9)
+    p = adversarial_cosine(1024, eta)
     rows.append(_leq(
         "oracle_quad_self_consistency",
-        abs(oracle1d.quad_expectation(prof_coarse, lambda x: x * x)
-            - oracle1d.quad_expectation(prof_fine, lambda x: x * x)),
+        abs(oracle1d.quad_expectation(p, lambda x: x * x, tol=1e-8)
+            - oracle1d.quad_expectation(p, lambda x: x * x, tol=5e-9)),
         1e-8,
     ))
     return rows

@@ -182,7 +182,7 @@ def test_criterion_05_spectral_gap_ceiling():
 
 def test_criterion_06_oracle_lemma_suite():
     eta = 0.2
-    gauss = oracle1d.gaussian_profile()
+    gauss = gaussian(1)
 
     worst_trig = 0.0
     params = [(a, b, g, d)
@@ -199,14 +199,15 @@ def test_criterion_06_oracle_lemma_suite():
     z_ok, kl_ok = True, True
     for k in range(8, 17):
         d = 2**k
-        z = oracle1d.normalizing_constant(oracle1d.adversarial_profile(d, eta))
+        z = oracle1d.normalizing_constant(adversarial_cosine(d, eta))
         z_ok = z_ok and abs(z / oracle1d.SQRT_2PI - 1.0) <= 2.0 * d**-0.8
         kl = oracle1d.kl_gaussian_vs_adversarial(eta, d)
         kl_ok = kl_ok and -1e-8 <= kl <= 2.0 * d**0.2
 
     d = 2**14
-    ratio = oracle1d.expected_cos(
-        oracle1d.adversarial_profile(d, eta), eta, d) / (0.25 * d ** (-2 * eta))
+    p = adversarial_cosine(d, eta)
+    ratio = oracle1d.quad_expectation(
+        p, lambda x: math.cos(p.w * x)) / (0.25 * d ** (-2 * eta))
     ratio_ok = 0.8 <= ratio <= 1.2
 
     ok = worst_trig <= 1e-8 and z_ok and kl_ok and ratio_ok

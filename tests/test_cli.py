@@ -39,6 +39,14 @@ class TestVerifyCommand:
         assert all(name.startswith("log_accept") for name in failing)
 
 
+def test_check_result_fails_on_a_nan_or_a_violation():
+    assert verify.CheckResult("c", 1.0, 1.0, 0.0).passed
+    for slack in (math.nan, -1e-300):
+        assert not verify.CheckResult("c", 1.0, 1.0, slack).passed
+    assert not verify._leq("c", math.nan, 1.0).passed
+    assert not verify._geq("c", 1.0, math.nan).passed
+
+
 class TestSweeps:
     def test_accept_sweep_rows_and_floor(self, tmp_path):
         out = tmp_path / "accept.csv"

@@ -8,6 +8,8 @@ from scipy import integrate, stats
 from malalab import diagnostics as dg
 from malalab import finite_chain, kernels
 from malalab.diagnostics import (
+    EstimateWithSE,
+    ProjectionReport,
     TypicalSetFilter,
     acceptance_at,
     dirichlet_gap_upper,
@@ -423,6 +425,15 @@ class TestProjectionCheck:
     def test_step_size_validated(self):
         with pytest.raises(ValueError):
             projection_check_gaussian(0.5, 8, 10, 100, seed=26)
+
+    def test_report_fails_on_a_nan_or_a_violation(self):
+        def report(lhs, threshold):
+            return ProjectionReport(EstimateWithSE(lhs, 0.01, 10),
+                                    EstimateWithSE(0.1, 0.01, 10), threshold, 10, 10)
+
+        assert report(0.2, 0.2).passed
+        for lhs, threshold in ((math.nan, 0.2), (0.2, math.nan), (0.3, 0.2)):
+            assert not report(lhs, threshold).passed
 
 
 class TestSlicedTV:

@@ -21,7 +21,7 @@ from malalab.kernels import (
     sample_separable_target,
     ula_step,
 )
-from malalab.oracle1d import adversarial_profile, profile_for, quad_expectation
+from malalab.oracle1d import quad_expectation
 from malalab.potentials import Potential, adversarial_cosine, custom_separable, gaussian
 from malalab.rng import substream
 
@@ -454,7 +454,7 @@ class TestSampleSeparableTarget:
         p = adversarial_cosine(1, 0.2)
         n = 100_000
         X = sample_separable_target(p, n, seed=29)
-        target = quad_expectation(profile_for(p), lambda x: x * x)
+        target = quad_expectation(p, lambda x: x * x)
         se = (X[:, 0] ** 2).std(ddof=1) / math.sqrt(n)
         assert np.mean(X[:, 0] ** 2) == pytest.approx(target, abs=3 * se)
         assert target <= 1.0 + 2.0 * 1.0  # sanity: moment is O(1)
@@ -521,6 +521,13 @@ class TestTableCache:
             assert kernels.cdf_table_for(make()) is kernels.cdf_table_for(make())
         assert len(kernels._TABLE_CACHE) == 2
 
+    def test_one_table_per_marginal(self):
+        # The Gaussian marginal is t²/2 at every d; the perturbed one moves with d.
+        assert kernels.cdf_table_for(gaussian(64)) is kernels.cdf_table_for(gaussian(4096))
+        assert (kernels.cdf_table_for(adversarial_cosine(64, 0.2))
+                is not kernels.cdf_table_for(adversarial_cosine(4096, 0.2)))
+        assert len(kernels._TABLE_CACHE) == 3
+
     def test_custom_targets_with_equal_fields_get_their_own_tables(self):
         # Equal (d, alpha, beta), so equal Potentials, but different profiles:
         # N(0, 1) and N(0, 1/2) marginals.
@@ -548,4 +555,5 @@ class TestTableCache:
                 tables = [f.result(timeout=60) for f in futures]
         finally:
             sys.setswitchinterval(interval)
-        assert all(t is kernels._TABLE_CACHE[p] for t in tables)
+        assert len(kernels._TABLE_CACHE) == 1
+        assert all(t is kernels.cdf_table_for(p) for t in tables)

@@ -10,16 +10,12 @@ from malalab.oracle1d import (
     AccuracyError,
     CDFTable,
     ConsistencyError,
-    adversarial_profile,
     coordinate_factor,
     coordinate_factor_first_order,
-    expected_cos,
-    gaussian_profile,
     gaussian_tv_equal_cov,
     inverse_cdf_table,
     kl_gaussian_vs_adversarial,
     normalizing_constant,
-    profile_for,
     quad_expectation,
     trig_sin_moment,
 )
@@ -29,42 +25,41 @@ PHI_1 = 0.8413447460685429  # standard normal CDF at 1
 
 class TestQuadExpectation:
     def test_normalization(self):
-        assert quad_expectation(gaussian_profile(), lambda x: 1.0) == pytest.approx(
+        assert quad_expectation(gaussian(1), lambda x: 1.0) == pytest.approx(
             1.0, abs=1e-10
         )
 
     def test_second_moment(self):
-        assert quad_expectation(gaussian_profile(), lambda x: x * x) == pytest.approx(
+        assert quad_expectation(gaussian(1), lambda x: x * x) == pytest.approx(
             1.0, abs=1e-10
         )
 
     def test_cosine_characteristic_function(self):
-        val = quad_expectation(gaussian_profile(), lambda x: math.cos(2.0 * x))
+        val = quad_expectation(gaussian(1), lambda x: math.cos(2.0 * x))
         assert val == pytest.approx(math.exp(-2.0), abs=1e-9)
 
     def test_self_consistency_under_tolerance_halving(self):
-        coarse = adversarial_profile(512, 0.2, tol=2e-8)
-        fine = adversarial_profile(512, 0.2, tol=1e-8)
-        a = quad_expectation(coarse, lambda x: x * x)
-        b = quad_expectation(fine, lambda x: x * x)
+        p = adversarial_cosine(512, 0.2)
+        a = quad_expectation(p, lambda x: x * x, tol=2e-8)
+        b = quad_expectation(p, lambda x: x * x, tol=1e-8)
         assert abs(a - b) < 2e-8
 
 
 class TestNormalizingConstant:
     def test_gaussian(self):
-        assert normalizing_constant(gaussian_profile()) == pytest.approx(
+        assert normalizing_constant(gaussian(1)) == pytest.approx(
             o1.SQRT_2PI, abs=1e-10
         )
 
     def test_adversarial_exceeds_gaussian(self):
-        z = normalizing_constant(adversarial_profile(256, 0.2))
+        z = normalizing_constant(adversarial_cosine(256, 0.2))
         assert z > o1.SQRT_2PI
 
     def test_rate_with_single_fitted_constant(self):
         eta = 0.2
         ds = [2**k for k in range(6, 15, 2)]
         excess = [
-            abs(normalizing_constant(adversarial_profile(d, eta)) / o1.SQRT_2PI - 1.0)
+            abs(normalizing_constant(adversarial_cosine(d, eta)) / o1.SQRT_2PI - 1.0)
             for d in ds
         ]
         c_fit = excess[0] / ds[0] ** (-4 * eta)
@@ -76,18 +71,21 @@ class TestNormalizingConstant:
 class TestExpectedCos:
     def test_pure_gaussian_profile_closed_form(self):
         eta, d = 0.2, 16
-        val = expected_cos(gaussian_profile(), eta, d)
+        w = d**eta
+        val = quad_expectation(gaussian(1), lambda x: math.cos(w * x))
         assert val == pytest.approx(math.exp(-0.5 * d ** (2 * eta)), abs=1e-9)
 
     def test_leading_term_at_large_dimension(self):
         eta, d = 0.2, 2**14
-        ratio = expected_cos(adversarial_profile(d, eta), eta, d) / (
+        p = adversarial_cosine(d, eta)
+        ratio = quad_expectation(p, lambda x: math.cos(p.w * x)) / (
             0.25 * d ** (-2 * eta)
         )
         assert 0.8 <= ratio <= 1.2
 
     def test_bounded_at_d_one(self):
-        val = expected_cos(adversarial_profile(1, 0.2), 0.2, 1)
+        p = adversarial_cosine(1, 0.2)
+        val = quad_expectation(p, lambda x: math.cos(p.w * x))
         assert -1.0 < val < 1.0
 
 
@@ -105,7 +103,7 @@ class TestTrigSinMoment:
         a, b, gamma, d = 0.3, 0.5, 0.2, 64
         w = b * d**gamma
         quad = quad_expectation(
-            gaussian_profile(), lambda x: x**ell * math.sin(a + w * x)
+            gaussian(1), lambda x: x**ell * math.sin(a + w * x)
         )
         assert trig_sin_moment(ell, a, b, gamma, d) == pytest.approx(quad, abs=1e-8)
 
@@ -258,21 +256,17 @@ class TestGaussianTV:
 
 class TestInverseCDFTable:
     def test_gaussian_median(self):
-        table = inverse_cdf_table(gaussian_profile())
+        table = inverse_cdf_table(gaussian(1))
         assert abs(table.inverse(0.5)) <= 1e-8
 
     def test_gaussian_quantile_at_one_sigma(self):
-        table = inverse_cdf_table(gaussian_profile())
+        table = inverse_cdf_table(gaussian(1))
         assert table.inverse(PHI_1) == pytest.approx(1.0, abs=1e-6)
 
     def test_roundtrip_adversarial(self):
-        table = inverse_cdf_table(adversarial_profile(256, 0.2))
+        table = inverse_cdf_table(adversarial_cosine(256, 0.2))
         us = np.linspace(0.01, 0.99, 99)
         np.testing.assert_allclose(table.cdf_at(table.inverse(us)), us, atol=1e-6)
-
-    def test_grid_size_validated(self):
-        with pytest.raises(ValueError):
-            inverse_cdf_table(gaussian_profile(), n_grid=32)
 
     def test_non_monotone_cdf_rejected(self):
         grid = np.linspace(-1, 1, 65)
@@ -290,36 +284,31 @@ class TestInverseCDFTable:
 
 @pytest.mark.parametrize("d, eta", [(1, 0.2), (64, 0.2), (4096, 0.195)])
 def test_profiles_are_the_closed_form_bitwise(d, eta):
-    # Every oracle profile is the target's own v: t²/2 − amp·cos(w·t).
+    # The oracles integrate the target's own v: t²/2 − amp·cos(w·t).
     ts = np.linspace(-9.0, 9.0, 1001)
     w, amp = d**eta, 0.5 * d ** (-2.0 * eta)
     closed = 0.5 * ts * ts - amp * np.cos(w * ts)
-    for prof in (adversarial_profile(d, eta), profile_for(adversarial_cosine(d, eta))):
-        assert np.asarray(prof.v(ts)).tobytes() == closed.tobytes()
+    assert adversarial_cosine(d, eta).profile_value(ts).tobytes() == closed.tobytes()
     half_square = 0.5 * ts**2
-    for prof in (gaussian_profile(), profile_for(gaussian(d))):
-        assert np.asarray(prof.v(ts)).tobytes() == half_square.tobytes()
+    for p in (gaussian(1), gaussian(d)):
+        assert p.profile_value(ts).tobytes() == half_square.tobytes()
 
 
 def test_tail_certificate_rejects_small_radius():
     with pytest.raises(ValueError):
-        o1.make_profile(lambda t: 0.5 * t**2, curvature_lb=1.0, radius=2.0)
+        quad_expectation(gaussian(1), lambda x: x * x, tol=1e-30)
 
 
 def test_second_moment_sandwich():
     eta = 0.2
     for k in (8, 10, 12, 14):
         d = 2**k
-        m2 = quad_expectation(adversarial_profile(d, eta), lambda x: x * x)
+        m2 = quad_expectation(adversarial_cosine(d, eta), lambda x: x * x)
         bound = 2.0 * d ** (-4 * eta)
         assert 1.0 - bound <= m2 <= 1.0 + bound
 
 
 def test_quad_accuracy_error_raised():
     # A needle too thin for the subdivision budget triggers the error path.
-    prof = o1.Profile1D(
-        v=lambda t: 0.5 * np.asarray(t) ** 2, radius=10.0, tol=1e-13,
-        curvature_lb=1.0, offset=0.0,
-    )
     with pytest.raises(AccuracyError):
-        o1.quad_expectation(prof, lambda x: math.sin(3e5 * x) ** 2)
+        o1.quad_expectation(gaussian(1), lambda x: math.sin(3e5 * x) ** 2, tol=1e-13)

@@ -7,6 +7,7 @@ import pytest
 from malalab import potentials
 from malalab.potentials import (
     ETA_PRESETS,
+    RegularityReport,
     adversarial_cosine,
     custom_separable,
     gaussian,
@@ -123,6 +124,25 @@ def test_verify_regularity_flags_quartic():
     assert not report.passed
     assert report.n_below_alpha > 0
     assert report.min_curvature < 0.5 - 1e-3
+
+
+def test_verify_regularity_fails_on_a_nan_probe():
+    # V is NaN beyond |t| = 1, and a NaN curvature is neither below nor above.
+    p = custom_separable(1, lambda t: np.where(np.abs(t) < 1.0, 0.5 * t * t, np.nan),
+                         lambda t: t, (0.9, 1.1))
+    report = verify_regularity(p, 200, seed=9)
+    assert report.n_below_alpha == report.n_above_beta == 0
+    assert not report.passed
+
+
+def test_regularity_report_fails_on_a_nan_or_a_violation():
+    def report(lo, hi, n_below=0, n_above=0):
+        return RegularityReport(10, 0.5, 1.5, lo, hi, n_below, n_above)
+
+    assert report(0.5, 1.5).passed
+    for bad in (report(math.nan, 1.5), report(0.5, math.nan),
+                report(0.4, 1.5, n_below=1), report(0.5, 1.6, n_above=1)):
+        assert not bad.passed
 
 
 def test_eta_range_is_open():

@@ -6,8 +6,8 @@ Each invocation runs in a fresh interpreter with ``CHECKOUT/src`` first on
 ``PYTHONPATH`` (default: the checkout holding this script) and with
 ``OUT_DIR`` as its working directory, so the progress line it prints names
 a relative path. The CSV and the captured stdout of every CLI run are
-written to ``OUT_DIR``, and so is ``run_chain.txt`` from the pinned
-``run_chain`` script; the script prints ``<md5>  <file>`` for each, sorted
+written to ``OUT_DIR``, and so are ``run_chain.txt`` and ``oracles.txt`` from
+the pinned ``run_chain`` and oracle scripts; the script prints ``<md5>  <file>`` for each, sorted
 by name. Running it on two commits and comparing the listings shows whether a
 refactor left every output byte-identical. Uses the standard library only.
 """
@@ -53,6 +53,32 @@ with open(sys.argv[1], "w", encoding="utf-8") as fh:
                     print(*map(repr, row), file=fh)
 """
 
+# The oracle layer, which verify.csv reads only through the worst case over d:
+# the inverse-CDF tables of four targets, the KL divergence at every octave of
+# criterion 6 and the coordinate factor with its first-order part. Only names
+# that a checkout from before the oracles took a Potential also has.
+ORACLES = """
+import sys
+from malalab.kernels import cdf_table_for
+from malalab.oracle1d import (coordinate_factor, coordinate_factor_first_order,
+                              kl_gaussian_vs_adversarial)
+from malalab.potentials import adversarial_cosine, gaussian
+with open(sys.argv[1], "w", encoding="utf-8") as fh:
+    for p in (gaussian(1), gaussian(4096), adversarial_cosine(64, 0.2),
+              adversarial_cosine(4096, 0.195)):
+        table = cdf_table_for(p)
+        print(p.kind, p.d, p.eta, file=fh)
+        print(*map(repr, table.grid.tolist()), file=fh)
+        print(*map(repr, table.cdf.tolist()), file=fh)
+    for k in range(8, 17):
+        print("kl", 2**k, repr(kl_gaussian_vs_adversarial(0.2, 2**k)), file=fh)
+    for d in (256, 4096):
+        h = d**-0.4
+        for x1 in (-4.0, -1.3, 0.0, 0.7, 2.2):
+            print("coordinate_factor", d, x1, repr(coordinate_factor(x1, h, 0.2, d)),
+                  repr(coordinate_factor_first_order(x1, h, 0.2, d)), file=fh)
+"""
+
 
 def run_pinned(source: str, out_dir: str) -> list[str]:
     """Run every pinned invocation; return the names of the files written."""
@@ -76,7 +102,8 @@ def run_pinned(source: str, out_dir: str) -> list[str]:
             fh.write(stdout)
         written += [csv_name, stdout_name]
     run("run_chain", ["-c", RUN_CHAIN, "run_chain.txt"])
-    return sorted(written + ["run_chain.txt"])
+    run("oracles", ["-c", ORACLES, "oracles.txt"])
+    return sorted(written + ["run_chain.txt", "oracles.txt"])
 
 
 def md5_of(path: str) -> str:

@@ -320,9 +320,11 @@ def sliced_tv_to_target(samples, table: oracle1d.CDFTable) -> float:
     if X.ndim != 2 or len(X) < 1000:
         raise ValueError("need a 2-D sample array with at least 1000 rows")
     n = len(X)
-    Xs = np.sort(X, axis=0)
-    F = np.asarray(table.cdf_at(Xs.ravel())).reshape(Xs.shape)
-    i = np.arange(1, n + 1)[:, None] / n
+    # One contiguous row of sorted values per coordinate.
+    Xs = np.ascontiguousarray(X.T)
+    Xs.sort(axis=1)
+    F = table.cdf_at(Xs)
+    i = np.arange(1, n + 1) / n
     upper = np.max(i - F)
     lower = np.max(F - (i - 1.0 / n))
     return float(max(upper, lower, 0.0))

@@ -456,6 +456,26 @@ class TestSlicedTV:
         with pytest.raises(ValueError):
             sliced_tv_to_target(np.zeros((100, 2)), kernels.cdf_table_for(p))
 
+    def test_column_layout_matches_row_layout_bit_for_bit(self):
+        # The formula on the sample-major layout: sort down the columns and
+        # evaluate the CDF on the row-major ravel.
+        def row_layout(X, table):
+            n = len(X)
+            Xs = np.sort(X, axis=0)
+            F = np.asarray(table.cdf_at(Xs.ravel())).reshape(Xs.shape)
+            i = np.arange(1, n + 1)[:, None] / n
+            return float(max(np.max(i - F), np.max(F - (i - 1.0 / n)), 0.0))
+
+        table = kernels.cdf_table_for(gaussian(8))
+        rng = substream(29, "sliced-layout")
+        for n, d in ((1000, 1), (1500, 3), (4096, 64)):
+            X = 1.5 * rng.standard_normal((n, d)) + 0.1
+            tied = np.round(X, 1)
+            outside = X.copy()
+            outside[: n // 10] = 1e3 * np.sign(outside[: n // 10])
+            for sample in (X, tied, outside):
+                assert sliced_tv_to_target(sample, table) == row_layout(sample, table)
+
 
 class TestMixingTime:
     def test_exact_start_is_already_mixed(self):

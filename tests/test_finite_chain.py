@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from malalab import finite_chain
 from malalab.finite_chain import (
     EXACT_TOL,
+    MAX_STATES,
     EvolveReport,
     FiniteChain,
     FiniteProjectionReport,
@@ -136,6 +139,96 @@ class TestSpectralQuantities:
         chain = FiniteChain(pi=np.full(21, 1 / 21), Q=np.eye(21), T=np.eye(21))
         with pytest.raises(ValueError):
             spectral_quantities(chain)
+
+    def test_one_state_chain_is_rejected(self):
+        chain = metropolize(np.ones((1, 1)), np.ones(1))
+        with pytest.raises(ValueError, match="at least 2"):
+            spectral_quantities(chain)
+        with pytest.raises(ValueError, match="at least 2"):
+            evolve_and_check(chain, np.ones(1), 5)
+
+
+def _per_subset_reference(c):
+    """Gap, then the enumeration one subset at a time: masses, conductance
+    and s_conductance."""
+    n = c.n
+    root = np.sqrt(c.pi)
+    sym = root[:, None] * c.T / root[None, :]
+    eigenvalues = np.linalg.eigvalsh(0.5 * (sym + sym.T))
+    gap = float(min(max(1.0 - eigenvalues[-2], 0.0), 2.0))
+    F = c.pi[:, None] * c.T
+    masses = np.empty((1 << n) - 2)
+    flows = np.empty((1 << n) - 2)
+    idx = np.arange(n)
+    for mask in range(1, (1 << n) - 1):
+        members = (mask >> idx) & 1 == 1
+        masses[mask - 1] = c.pi[members].sum()
+        flows[mask - 1] = F[np.ix_(members, ~members)].sum()
+    small = masses <= 0.5
+    conductance = float(np.min(flows[small] / masses[small])) if small.any() else 1.0
+
+    def s_conductance(s):
+        eligible = (masses > s) & small
+        if not eligible.any():
+            return math.inf
+        return float(np.min(flows[eligible] / (masses[eligible] - s)))
+
+    return gap, masses, conductance, s_conductance
+
+
+def _birth_death_chain(m=15):
+    """A discretized Gaussian on m sites with a +-1 random-walk proposal."""
+    sites = np.linspace(-3.0, 3.0, m)
+    pi = np.exp(-0.5 * sites**2)
+    pi /= pi.sum()
+    Q = np.zeros((m, m))
+    for i in range(m):
+        Q[i, max(i - 1, 0)] += 0.5
+        Q[i, min(i + 1, m - 1)] += 0.5
+    return metropolize(Q, pi)
+
+
+def _enumeration_chains():
+    rng = substream(10, "enumeration")
+    chains = [random_reversible_chain(n, rng) for n in range(2, 13) for _ in range(4)]
+    chains.append(FiniteChain(pi=TWO_STATE_PI, Q=np.eye(2), T=np.eye(2)))
+    chains.append(_birth_death_chain())
+    return chains
+
+
+class TestSubsetEnumeration:
+    S_VALUES = np.linspace(0.0, 0.49, 12)
+
+    # 1000 gathered flows per block splits every chain with n >= 7 into
+    # several blocks, so the block boundaries are exercised at small n.
+    @pytest.mark.parametrize("block_elements", [None, 1000],
+                             ids=["default-blocks", "small-blocks"])
+    def test_blocks_match_the_per_subset_loop_bit_for_bit(self, monkeypatch, block_elements):
+        if block_elements is not None:
+            monkeypatch.setattr(finite_chain, "_BLOCK_ELEMENTS", block_elements)
+        for chain in _enumeration_chains():
+            spec = spectral_quantities(chain)
+            gap, masses, conductance, s_conductance = _per_subset_reference(chain)
+            assert spec.gap == gap
+            assert spec.subset_masses.tobytes() == masses.tobytes()
+            assert spec.conductance == conductance
+            for s in self.S_VALUES:
+                assert spec.s_conductance(s) == s_conductance(s)
+
+    def test_memory_stays_bounded_at_the_state_cap(self):
+        chain = random_reversible_chain(MAX_STATES, substream(11, "cap"))
+        tracemalloc.start()
+        try:
+            spec = spectral_quantities(chain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        masses = spec.subset_masses
+        assert len(masses) == (1 << MAX_STATES) - 2
+        # Singletons carry pi, and a subset and its complement carry mass 1.
+        np.testing.assert_array_equal(masses[(1 << np.arange(MAX_STATES)) - 1], chain.pi)
+        np.testing.assert_allclose(masses + masses[::-1], 1.0, atol=1e-14)
 
 
 class TestProjectionCheck:

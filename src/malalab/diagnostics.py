@@ -320,8 +320,8 @@ def sliced_tv_to_target(samples, table: oracle1d.CDFTable) -> float:
     if X.ndim != 2 or len(X) < 1000:
         raise ValueError("need a 2-D sample array with at least 1000 rows")
     n = len(X)
-    # One contiguous row of sorted values per coordinate.
-    Xs = np.ascontiguousarray(X.T)
+    # One contiguous row of sorted values per coordinate, in a copy of X.
+    Xs = X.T.copy()
     Xs.sort(axis=1)
     F = table.cdf_at(Xs)
     i = np.arange(1, n + 1) / n

@@ -13,21 +13,13 @@ S = seed, seed + 1, ..., every checkout runs
 in its own root. The checkouts take turns, and which one goes first
 alternates from seed to seed, so a drift of the machine falls on both
 alike. Then each checkout makes one ``--trace 1`` run of each workload.
-Last, each checkout times 10 runs of
-
-    python3 -m malalab verify --seed 42
-
-in a fresh interpreter, with ``CHECKOUT/src`` on ``PYTHONPATH`` and a
-temporary directory as its working directory, again taking turns.
 Runs are sequential, so no run of this script competes with a timed one.
 
 The file holds the machine (nproc, platform, python, numpy and scipy
-versions) and, per checkout, its git revision; per workload, every run's
-seed, ``correct`` and ``failed`` counts and end-to-end metrics, the
-q1/median/q3 of each end-to-end metric and the per-layer metrics of the
-traced run; and the ``verify --seed 42`` wall times with their
-q1/median/q3. A summary of the medians is printed. Uses the standard
-library only.
+versions) and, per checkout, its git revision and per workload: every
+run's seed, ``correct`` and ``failed`` counts and end-to-end metrics; the
+q1/median/q3 of each end-to-end metric; and the per-layer metrics of the traced run. A summary of the medians is
+printed. Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -40,8 +32,6 @@ import platform
 import statistics
 import subprocess
 import sys
-import tempfile
-import time
 
 # Pairs of parent and change needed before a gain can be claimed.
 RUNS = 10
@@ -66,20 +56,6 @@ def bench_run(checkout: str, spec: dict, workload: str, seed: int, trace: int) -
         raise RuntimeError(f"{' '.join(argv)} in {checkout} exited {proc.returncode}:\n"
                            f"{proc.stderr}")
     return json.loads(proc.stdout.splitlines()[-1])
-
-
-def verify_wall_time(checkout: str) -> float:
-    """Seconds that ``python3 -m malalab verify --seed 42`` takes on ``checkout``."""
-    env = {**os.environ, "PYTHONPATH": os.path.join(checkout, "src")}
-    with tempfile.TemporaryDirectory() as out_dir:
-        start = time.perf_counter()
-        proc = subprocess.run(["python3", "-m", "malalab", "verify", "--seed", "42"],
-                              cwd=out_dir, env=env, capture_output=True, text=True)
-        wall_s = time.perf_counter() - start
-    if proc.returncode != 0:
-        raise RuntimeError(f"verify --seed 42 on {checkout} exited {proc.returncode}:\n"
-                           f"{proc.stdout}{proc.stderr}")
-    return wall_s
 
 
 def git_revision(checkout: str) -> str | None:
@@ -154,15 +130,6 @@ def main(argv=None) -> int:
                 "per_layer": {"seed": args.seed, "correct": traced["correct"],
                               **{name: m["value"] for name, m in traced["metrics"].items()}},
             }
-    verify_runs = {label: [] for label in labels}
-    for i in range(RUNS):
-        for label in (labels if i % 2 == 0 else labels[::-1]):
-            verify_runs[label].append(verify_wall_time(args.checkouts[label]))
-            print(f"verify --seed 42 {label}: {verify_runs[label][-1]:.3f} s",
-                  file=sys.stderr, flush=True)
-    for label in labels:
-        records[label]["verify_seed42"] = {"wall_s": verify_runs[label],
-                                           **quartiles(verify_runs[label])}
     record = {"machine": machine(), "seconds": spec["seconds"], "records": records}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
@@ -173,9 +140,6 @@ def main(argv=None) -> int:
                 f"{label} {records[label]['workloads'][workload]['end_to_end'][m]['median']:.6g}"
                 for label in labels)
             print(f"{workload} {m}: {medians}")
-    medians = "  ".join(f"{label} {records[label]['verify_seed42']['median']:.6g}"
-                        for label in labels)
-    print(f"verify --seed 42 wall_s: {medians}")
     return 0
 
 

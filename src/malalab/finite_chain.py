@@ -28,6 +28,9 @@ MAX_STATES = 20
 # Flows gathered per block of subsets in spectral_quantities (8 MB of floats).
 _BLOCK_ELEMENTS = 1 << 20
 
+# (n, step) -> the size groups of an enumeration that is a single block.
+_INDEX_CACHE: dict[tuple[int, int], list] = {}
+
 
 @dataclass(frozen=True)
 class FiniteChain:
@@ -42,15 +45,16 @@ class FiniteChain:
         return len(self.pi)
 
 
+# Both checks are written so that a NaN or infinite entry fails them.
 def _check_distribution(pi: np.ndarray, what: str, tol: float = 1e-9):
-    if pi.ndim != 1 or np.any(pi < 0) or abs(pi.sum() - 1.0) > tol:
+    if pi.ndim != 1 or not np.all(pi >= 0) or not abs(pi.sum() - 1.0) <= tol:
         raise ValueError(f"{what} must be a probability vector")
 
 
 def _check_row_stochastic(M: np.ndarray, what: str, tol: float = 1e-9):
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{what} must be a square matrix")
-    if np.any(M < -tol) or np.max(np.abs(M.sum(axis=1) - 1.0)) > tol:
+    if not np.all(M >= -tol) or not np.max(np.abs(M.sum(axis=1) - 1.0)) <= tol:
         raise ValueError(f"{what} must be row-stochastic")
 
 
@@ -132,24 +136,19 @@ def spectral_quantities(c: FiniteChain) -> SpectralQuantities:
     eigenvalues = np.linalg.eigvalsh(sym)
     gap = float(min(max(1.0 - eigenvalues[-2], 0.0), 2.0))
 
-    F = c.pi[:, None] * c.T
-    masks = np.arange(1, (1 << n) - 1)
-    masses = np.empty(len(masks))
-    flows = np.empty(len(masks))
+    flat_flows = (c.pi[:, None] * c.T).ravel()
+    n_subsets = (1 << n) - 2
+    masses = np.empty(n_subsets)
+    flows = np.empty(n_subsets)
     # A size-k subset gathers k·(n − k) <= n²/4 flows, so a block of `step`
     # masks gathers at most _BLOCK_ELEMENTS. Each row is summed contiguously
-    # in the order of F[np.ix_(inside, outside)], as a per-subset .sum() would.
+    # in the order of F[np.ix_(inside, outside)] for F = pi_i·T[i, j], as a
+    # per-subset .sum() would.
     step = _BLOCK_ELEMENTS * 4 // (n * n)
-    for start in range(0, len(masks), step):
-        bits = (masks[start:start + step, None] >> np.arange(n)) & 1 == 1
-        sizes = bits.sum(axis=1)
-        for k in range(1, n):
-            rows = np.flatnonzero(sizes == k)
-            inside = np.nonzero(bits[rows])[1].reshape(len(rows), k)
-            outside = np.nonzero(~bits[rows])[1].reshape(len(rows), n - k)
-            cut = F[inside[:, :, None], outside[:, None, :]]
-            masses[start + rows] = c.pi[inside].sum(axis=1)
-            flows[start + rows] = cut.reshape(len(rows), k * (n - k)).sum(axis=1)
+    for start in range(0, n_subsets, step):
+        for rows, inside, cut in _size_groups(n, start, min(start + step, n_subsets), step):
+            masses[rows] = c.pi.take(inside).sum(axis=1)
+            flows[rows] = flat_flows.take(cut).sum(axis=1)
 
     small = masses <= 0.5
     conductance = float(np.min(flows[small] / masses[small])) if small.any() else 1.0
@@ -168,6 +167,27 @@ def spectral_quantities(c: FiniteChain) -> SpectralQuantities:
         s_conductance=s_conductance,
         subset_masses=masses,
     )
+
+
+def _size_groups(n: int, start: int, stop: int, step: int) -> list:
+    """(rows, inside, flat cut index) of each subset size k among masks
+    start + 1 … stop; rows index subset_masses, cut the row-major flows.
+    A block of all 2^n − 2 masks is built once per (n, step), read-only."""
+    whole = stop - start == (1 << n) - 2
+    if whole and (n, step) in _INDEX_CACHE:
+        return _INDEX_CACHE[n, step]
+    bits = (np.arange(start + 1, stop + 1)[:, None] >> np.arange(n)) & 1 == 1
+    sizes = bits.sum(axis=1)
+    groups = []
+    for k in range(1, n):
+        rows = np.flatnonzero(sizes == k)
+        inside = (np.flatnonzero(bits[rows]) % n).reshape(len(rows), k)
+        outside = (np.flatnonzero(~bits[rows]) % n).reshape(len(rows), n - k)
+        cut = (inside[:, :, None] * n + outside[:, None, :]).reshape(len(rows), k * (n - k))
+        groups.append((rows + start, inside, cut))
+        for a in groups[-1]:
+            a.setflags(write=False)
+    return _INDEX_CACHE.setdefault((n, step), groups) if whole else groups
 
 
 @dataclass(frozen=True)
@@ -254,48 +274,45 @@ def evolve_and_check(c: FiniteChain, mu0, n_steps: int) -> EvolveReport:
     chi²(mu_n || pi) <= 2·M0·TV(mu_n, pi); and the s-conductance mixing
     bound TV(mu_n, pi) <= M0·s + M0·exp(−C_s²·n/2) over :data:`S_GRID`.
     """
+    if n_steps < 0:
+        raise ValueError("n_steps must be >= 0")
     mu = np.asarray(mu0, dtype=float)
     _check_distribution(mu, "mu0")
-    m0 = float(np.max(mu / c.pi))
     spec = spectral_quantities(c)
-    cs = {s: spec.s_conductance(s) for s in S_GRID}
-
-    warm_prev = m0
-    max_warm = 0.0
-    max_chi2 = 0.0
-    max_lovasz = 0.0
+    # Row n is mu_n, each from the row before as a single vector step would be.
+    traj = np.empty((n_steps + 1, c.n))
+    traj[0] = mu
     for n in range(1, n_steps + 1):
-        mu = mu @ c.T
-        warm = float(np.max(mu / c.pi))
-        max_warm = max(max_warm, warm - warm_prev)
-        warm_prev = warm
-        tv = 0.5 * float(np.abs(mu - c.pi).sum())
-        chi2 = float(np.sum((mu - c.pi) ** 2 / c.pi))
-        max_chi2 = max(max_chi2, chi2 - 2.0 * m0 * tv)
-        for s, c_s in cs.items():
-            bound = m0 * s + (m0 * math.exp(-0.5 * c_s * c_s * n) if math.isfinite(c_s) else 0.0)
-            max_lovasz = max(max_lovasz, tv - bound)
-    return EvolveReport(
-        n_steps=n_steps,
-        warmness_start=m0,
-        max_warm_violation=max_warm,
-        max_chi2_violation=max_chi2,
-        max_lovasz_violation=max_lovasz,
-    )
+        traj[n] = traj[n - 1] @ c.T
+    warm = np.max(traj / c.pi, axis=1)
+    m0 = float(warm[0])
+    tv = 0.5 * np.abs(traj[1:] - c.pi).sum(axis=1)
+    chi2 = ((traj[1:] - c.pi) ** 2 / c.pi).sum(axis=1)
+    # math.exp, not np.exp: the bounds keep the bits of the scalar formula.
+    decay = [-0.5 * c_s * c_s if math.isfinite(c_s) else None
+             for c_s in map(spec.s_conductance, S_GRID)]
+    bound = np.array([[m0 * s + (m0 * math.exp(a * n) if a is not None else 0.0)
+                       for s, a in zip(S_GRID, decay)] for n in range(1, n_steps + 1)])
+    excess = (warm[1:] - warm[:-1], chi2 - 2.0 * m0 * tv,
+              tv[:, None] - bound.reshape(n_steps, len(S_GRID)))
+    # initial=0.0 reads an empty trajectory as no violation; a NaN propagates.
+    return EvolveReport(n_steps, m0, *(float(np.max(e, initial=0.0)) for e in excess))
+
+
+def _random_proposal(n: int, rng) -> np.ndarray:
+    Q = rng.uniform(0.1, 1.0, size=(n, n))
+    return Q / Q.sum(axis=1, keepdims=True)
 
 
 def random_reversible_chain(n: int, rng) -> FiniteChain:
     """Random instance: pi ~ Dirichlet(1, ..., 1), Q row-normalized uniforms."""
     pi = rng.dirichlet(np.ones(n))
-    Q = rng.uniform(0.1, 1.0, size=(n, n))
-    Q /= Q.sum(axis=1, keepdims=True)
-    return metropolize(Q, pi)
+    return metropolize(_random_proposal(n, rng), pi)
 
 
 def random_projection_triple(n: int, rng):
-    """(pi, Q, Qbar) with Qbar reversible by metropolizing a second proposal."""
-    chain = random_reversible_chain(n, rng)
-    other = rng.uniform(0.1, 1.0, size=(n, n))
-    other /= other.sum(axis=1, keepdims=True)
-    qbar = metropolize(other, chain.pi).T
-    return chain.pi, chain.Q, qbar
+    """(pi, Q, Qbar): pi and Q drawn as random_reversible_chain draws them,
+    Qbar reversible by metropolizing a second proposal."""
+    pi = rng.dirichlet(np.ones(n))
+    Q = _random_proposal(n, rng)
+    return pi, Q, metropolize(_random_proposal(n, rng), pi).T

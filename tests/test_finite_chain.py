@@ -77,6 +77,15 @@ class TestMetropolize:
         with pytest.raises(ValueError):
             metropolize(TWO_STATE_Q, np.array([1.0, 0.0]))
 
+    def test_nan_proposal_is_rejected(self):
+        Q = np.array([[0.5, 0.5], [math.nan, 0.5]])
+        with pytest.raises(ValueError, match="row-stochastic"):
+            metropolize(Q, TWO_STATE_PI)
+
+    def test_nan_stationary_vector_is_rejected(self):
+        with pytest.raises(ValueError, match="probability vector"):
+            metropolize(TWO_STATE_Q, np.array([1.0, math.nan]))
+
 
 class TestOffdiagL1:
     def test_identical_matrices(self):
@@ -230,6 +239,27 @@ class TestSubsetEnumeration:
         np.testing.assert_array_equal(masses[(1 << np.arange(MAX_STATES)) - 1], chain.pi)
         np.testing.assert_allclose(masses + masses[::-1], 1.0, atol=1e-14)
 
+    def test_index_cache_holds_read_only_single_block_enumerations(self, monkeypatch):
+        monkeypatch.setattr(finite_chain, "_INDEX_CACHE", {})
+        rng = substream(12, "cache")
+        chains = [random_reversible_chain(n, rng) for n in (5, 6, 7, 8)]
+        default_elements = finite_chain._BLOCK_ELEMENTS
+        for block_elements in (None, 1000):
+            if block_elements is not None:
+                monkeypatch.setattr(finite_chain, "_BLOCK_ELEMENTS", block_elements)
+            for chain in chains:
+                spectral_quantities(chain)
+        # 1000 flows make steps of 160 and 111 masks at n = 5 and 6, one block
+        # each; n = 7 and 8 span several blocks there and are not cached.
+        default = [(n, default_elements * 4 // (n * n)) for n in (5, 6, 7, 8)]
+        assert sorted(finite_chain._INDEX_CACHE) == sorted(default + [(5, 160), (6, 111)])
+        for (n, _), groups in finite_chain._INDEX_CACHE.items():
+            rows = np.concatenate([group[0] for group in groups])
+            np.testing.assert_array_equal(np.sort(rows), np.arange((1 << n) - 2))
+            for array in (a for group in groups for a in group):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
+
 
 class TestProjectionCheck:
     def test_qbar_equals_t_passes(self):
@@ -251,6 +281,20 @@ class TestProjectionCheck:
             pi, Q, Qbar = random_projection_triple(int(rng.integers(2, 9)), rng)
             report = projection_check(Q, Qbar, pi)
             assert report.passed
+
+    def test_triple_is_the_chain_then_a_metropolized_proposal(self):
+        for n in range(2, 9):
+            rng = substream(14, "triple", n)
+            reference = substream(14, "triple", n)
+            pi, Q, Qbar = random_projection_triple(n, rng)
+            chain = random_reversible_chain(n, reference)
+            other = reference.uniform(0.1, 1.0, size=(n, n))
+            other /= other.sum(axis=1, keepdims=True)
+            qbar = metropolize(other, chain.pi).T
+            assert pi.tobytes() == chain.pi.tobytes()
+            assert Q.tobytes() == chain.Q.tobytes()
+            assert Qbar.tobytes() == qbar.tobytes()
+            assert rng.random() == reference.random()
 
     def test_non_reversible_qbar_rejected(self):
         Qbar = np.array([[0.1, 0.9], [0.6, 0.4]])
@@ -294,6 +338,70 @@ class TestEvolveAndCheck:
         chain = metropolize(TWO_STATE_Q, TWO_STATE_PI)
         with pytest.raises(ValueError):
             evolve_and_check(chain, np.array([0.7, 0.7]), 5)
+
+    def test_nan_mu0_is_rejected(self):
+        chain = random_reversible_chain(4, substream(13, "nan"))
+        with pytest.raises(ValueError, match="probability vector"):
+            evolve_and_check(chain, [math.nan, 1.0, 0.0, 0.0], 5)
+
+    def test_nan_kernel_fails_the_report(self):
+        chain = metropolize(TWO_STATE_Q, TWO_STATE_PI)
+        T = chain.T.copy()
+        T[0, 0] = math.nan
+        report = evolve_and_check(FiniteChain(pi=chain.pi, Q=chain.Q, T=T),
+                                  np.array([1.0, 0.0]), 5)
+        assert math.isnan(report.max_lovasz_violation)
+        assert not report.passed
+
+    def test_negative_step_count_is_rejected(self):
+        chain = metropolize(TWO_STATE_Q, TWO_STATE_PI)
+        with pytest.raises(ValueError, match="n_steps"):
+            evolve_and_check(chain, np.array([1.0, 0.0]), -1)
+
+    def test_zero_steps_report_no_violation(self):
+        chain = metropolize(TWO_STATE_Q, TWO_STATE_PI)
+        report = evolve_and_check(chain, np.array([1.0, 0.0]), 0)
+        assert report == EvolveReport(0, 1.5, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("n_steps", [0, 1, 50])
+    def test_trajectory_matches_the_per_step_loop_bit_for_bit(self, n_steps):
+        chains = _enumeration_chains()
+        # A kernel borrowed from another chain of the same size does not keep
+        # pi, so from mu0 = pi (M0 = 1) the violations are positive and carry
+        # the bits of TV and chi²; on a chain's own kernel that start reads
+        # the rounding of each step as a warmness violation.
+        borrowed = [FiniteChain(pi=a.pi, Q=a.Q, T=b.T)
+                    for a, b in zip(chains, chains[1:]) if a.n == b.n]
+        for chain in chains + borrowed:
+            point = np.zeros(chain.n)
+            point[int(np.argmin(chain.pi))] = 1.0
+            spread = np.arange(1.0, chain.n + 1.0)
+            spread /= spread.sum()
+            for mu0 in (point, spread, chain.pi):
+                assert (evolve_and_check(chain, mu0, n_steps)
+                        == _per_step_evolve_reference(chain, mu0, n_steps))
+
+
+def _per_step_evolve_reference(c, mu0, n_steps):
+    """The evolve checks one step at a time, each a scalar running max."""
+    mu = np.asarray(mu0, dtype=float)
+    m0 = float(np.max(mu / c.pi))
+    spec = spectral_quantities(c)
+    cs = {s: spec.s_conductance(s) for s in finite_chain.S_GRID}
+    warm_prev = m0
+    max_warm = max_chi2 = max_lovasz = 0.0
+    for n in range(1, n_steps + 1):
+        mu = mu @ c.T
+        warm = float(np.max(mu / c.pi))
+        max_warm = max(max_warm, warm - warm_prev)
+        warm_prev = warm
+        tv = 0.5 * float(np.abs(mu - c.pi).sum())
+        chi2 = float(np.sum((mu - c.pi) ** 2 / c.pi))
+        max_chi2 = max(max_chi2, chi2 - 2.0 * m0 * tv)
+        for s, c_s in cs.items():
+            bound = m0 * s + (m0 * math.exp(-0.5 * c_s * c_s * n) if math.isfinite(c_s) else 0.0)
+            max_lovasz = max(max_lovasz, tv - bound)
+    return EvolveReport(n_steps, m0, max_warm, max_chi2, max_lovasz)
 
 
 def test_reports_fail_on_a_nan_or_a_violation():

@@ -172,7 +172,8 @@ def spectral_quantities(c: FiniteChain) -> SpectralQuantities:
 def _size_groups(n: int, start: int, stop: int, step: int) -> list:
     """(rows, inside, flat cut index) of each subset size k among masks
     start + 1 … stop; rows index subset_masses, cut the row-major flows.
-    A block of all 2^n − 2 masks is built once per (n, step), read-only."""
+    The arrays are read-only; a block of all 2^n − 2 masks is built once
+    per (n, step) and kept in _INDEX_CACHE."""
     whole = stop - start == (1 << n) - 2
     if whole and (n, step) in _INDEX_CACHE:
         return _INDEX_CACHE[n, step]

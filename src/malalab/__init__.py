@@ -56,13 +56,11 @@ from .oracle1d import (
     trig_sin_moment,
 )
 from .potentials import (
-    ETA_PRESETS,
     Potential,
     RegularityReport,
     adversarial_cosine,
     custom_separable,
     gaussian,
-    parse_potential,
     verify_regularity,
 )
 from .rng import substream

@@ -36,9 +36,6 @@ GAUSSIAN = "gaussian"
 ADVERSARIAL = "adversarial"
 CUSTOM = "custom"
 
-#: eta = 1/4 − delta presets for the perturbed target.
-ETA_PRESETS = {"delta=0.05": 0.20, "delta=0.055": 0.195}
-
 
 @dataclass(frozen=True)
 class Potential:
@@ -222,38 +219,3 @@ def verify_regularity(p: Potential, n_probes: int, seed) -> RegularityReport:
         n_below_alpha=n_below,
         n_above_beta=n_above,
     )
-
-
-def parse_potential(text: str) -> Potential:
-    """Build a built-in target from a plain-text key=value block.
-
-    Recognized keys: ``kind`` (gaussian | adversarial), ``d``, and ``eta``
-    (adversarial only). Blank lines and ``#`` comments are ignored.
-    """
-    fields: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"expected key=value, got {line!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        if key in fields:
-            raise ValueError(f"duplicate key {key!r}")
-        fields[key] = val
-    unknown = set(fields) - {"kind", "d", "eta"}
-    if unknown:
-        raise ValueError(f"unknown keys: {sorted(unknown)}")
-    if "kind" not in fields or "d" not in fields:
-        raise ValueError("potential spec needs at least kind= and d=")
-    kind = fields["kind"].lower()
-    d = int(fields["d"])
-    if kind == GAUSSIAN:
-        if "eta" in fields:
-            raise ValueError("eta is only meaningful for kind=adversarial")
-        return gaussian(d)
-    if kind == ADVERSARIAL:
-        if "eta" not in fields:
-            raise ValueError("kind=adversarial requires eta=")
-        return adversarial_cosine(d, float(fields["eta"]))
-    raise ValueError(f"unknown kind {fields['kind']!r}")

@@ -451,6 +451,18 @@ class TestSlicedTV:
         closed = 2 * stats.norm.cdf(0.25) - 1
         assert abs(val - closed) <= 0.1 * closed
 
+    def test_nan_sample_gives_nan(self):
+        table = kernels.cdf_table_for(gaussian(3))
+        # 2001 rows end in a short block of the pruned scan; a NaN sorts into it.
+        X = substream(31, "sliced-nan").standard_normal((2001, 3))
+        for row, col in ((0, 0), (2000, 2), (700, 1)):
+            Y = X.copy()
+            Y[row, col] = math.nan
+            assert math.isnan(sliced_tv_to_target(Y, table))
+        Y = X[:, :1].copy()
+        Y[5, 0] = math.nan
+        assert math.isnan(sliced_tv_to_target(Y, table))
+
     def test_requires_enough_samples(self):
         p = gaussian(2)
         with pytest.raises(ValueError):
@@ -468,14 +480,26 @@ class TestSlicedTV:
 
         table = kernels.cdf_table_for(gaussian(8))
         rng = substream(29, "sliced-layout")
-        for n, d in ((1000, 1), (1500, 3), (4096, 64)):
+        # n = 1001 and 1500 end in a short block of the pruned scan.
+        for n, d in ((1000, 1), (1001, 5), (1500, 3), (4096, 64)):
             X = 1.5 * rng.standard_normal((n, d)) + 0.1
             tied = np.round(X, 1)
             outside = X.copy()
             outside[: n // 10] = 1e3 * np.sign(outside[: n // 10])
+            constant = X.copy()
+            constant[:, 0] = 0.3
+            # Shifted by about four standard deviations, the largest gap sits
+            # inside the first block (+, sorted index 2 to 11 here) or at the
+            # end of the last (−). X alone peaks in F − (i−1)/n.
+            shifted = [X + 6.5, X - 6.5]
+            # The last coordinate alone carries the largest gap, of either kind.
+            one_off = [X.copy(), X.copy()]
+            one_off[0][:, -1] = 0.5 * X[:, -1] + 0.8
+            one_off[1][:, -1] = 0.5 * X[:, -1] - 0.8
             # At d = 1 or in column-major order X.T is already C-contiguous;
             # sorting it without a copy would reorder the caller's samples.
-            for sample in (X, tied, outside, np.asfortranarray(X)):
+            for sample in (X, tied, outside, np.asfortranarray(X), constant,
+                           *shifted, *one_off):
                 before = sample.copy()
                 assert sliced_tv_to_target(sample, table) == row_layout(before, table)
                 assert np.array_equal(sample, before)

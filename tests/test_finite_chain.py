@@ -381,6 +381,22 @@ class TestEvolveAndCheck:
                 assert (evolve_and_check(chain, mu0, n_steps)
                         == _per_step_evolve_reference(chain, mu0, n_steps))
 
+    def test_lovasz_bound_keeps_the_bits_of_math_exp(self):
+        # T does not keep pi, so TV stays near 0.2 while the s = 0.01 term
+        # M0·exp(−C_s²n/2) is still 0.17 at n = 10, where the largest excess
+        # sits: its bits are those of math.exp, which np.exp does not always
+        # reproduce.
+        pi = np.array([0.46, 0.23, 0.31])
+        T = np.array([[0.3, 0.3, 0.4], [0.4, 0.2, 0.4], [0.1, 0.6, 0.3]])
+        chain = FiniteChain(pi=pi, Q=T, T=T)
+        mu0 = np.array([1.0, 0.0, 0.0])
+        report = evolve_and_check(chain, mu0, 10)
+        c_s = spectral_quantities(chain).s_conductance(0.01)
+        tv = 0.5 * np.abs(mu0 @ np.linalg.matrix_power(T, 10) - pi).sum()
+        term = report.warmness_start * math.exp(-0.5 * c_s * c_s * 10)
+        assert 0.0 < report.max_lovasz_violation and 0.5 * tv < term < tv
+        assert report == _per_step_evolve_reference(chain, mu0, 10)
+
 
 def _per_step_evolve_reference(c, mu0, n_steps):
     """The evolve checks one step at a time, each a scalar running max."""

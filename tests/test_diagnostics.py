@@ -489,8 +489,9 @@ class TestSlicedTV:
             constant = X.copy()
             constant[:, 0] = 0.3
             # Shifted by about four standard deviations, the largest gap sits
-            # inside the first block (+, sorted index 2 to 11 here) or at the
-            # end of the last (−). X alone peaks in F − (i−1)/n.
+            # inside the first block (+, sorted index 2 to 11 here) or near
+            # the end (−, in the short last block at n = 1000, 1001 and 1500).
+            # X alone peaks in F − (i−1)/n.
             shifted = [X + 6.5, X - 6.5]
             # The last coordinate alone carries the largest gap, of either kind.
             one_off = [X.copy(), X.copy()]

@@ -436,6 +436,16 @@ class TestProjectionCheck:
             assert not report(lhs, threshold).passed
 
 
+def _sliced_tv_full_scan(X, table):
+    """The sliced TV with F at every sample, on the sample-major layout: sort
+    down the columns and evaluate the CDF on the row-major ravel."""
+    n = len(X)
+    Xs = np.sort(X, axis=0)
+    F = np.asarray(table.cdf_at(Xs.ravel())).reshape(Xs.shape)
+    i = np.arange(1, n + 1)[:, None] / n
+    return float(max(np.max(i - F), np.max(F - (i - 1.0 / n)), 0.0))
+
+
 class TestSlicedTV:
     def test_exact_samples_score_near_zero(self):
         p = gaussian(4)
@@ -463,21 +473,34 @@ class TestSlicedTV:
         Y[5, 0] = math.nan
         assert math.isnan(sliced_tv_to_target(Y, table))
 
+    @pytest.mark.parametrize("inf", [math.inf, -math.inf])
+    def test_infinite_sample_matches_full_scan(self, inf):
+        table = kernels.cdf_table_for(gaussian(3))
+        X = substream(32, "sliced-inf").standard_normal((1001, 3))
+        for rows in ((0,), (1000,), (0, 17, 500, 1000)):
+            Y = X.copy()
+            Y[list(rows), 1] = inf
+            assert sliced_tv_to_target(Y, table) == _sliced_tv_full_scan(Y, table)
+
+    # 1 evaluates F everywhere; 1001 and 5000 put all of n = 1001 in one block.
+    @pytest.mark.parametrize("block", [1, 2, 7, 16, 33, 1001, 5000])
+    def test_any_block_size_gives_the_same_bits(self, monkeypatch, block):
+        monkeypatch.setattr(dg, "_TV_BLOCK", block)
+        table = kernels.cdf_table_for(gaussian(4))
+        X = 1.5 * substream(33, "sliced-block").standard_normal((1001, 4)) + 0.1
+        tied = np.round(X, 1)
+        one_off = X.copy()
+        one_off[:, 2] = 0.5 * X[:, 2] - 0.8
+        for sample in (X, tied, X + 6.5, X - 6.5, one_off):
+            assert sliced_tv_to_target(sample, table) == _sliced_tv_full_scan(sample, table)
+
     def test_requires_enough_samples(self):
         p = gaussian(2)
         with pytest.raises(ValueError):
             sliced_tv_to_target(np.zeros((100, 2)), kernels.cdf_table_for(p))
 
     def test_column_layout_matches_row_layout_bit_for_bit(self):
-        # The formula on the sample-major layout: sort down the columns and
-        # evaluate the CDF on the row-major ravel.
-        def row_layout(X, table):
-            n = len(X)
-            Xs = np.sort(X, axis=0)
-            F = np.asarray(table.cdf_at(Xs.ravel())).reshape(Xs.shape)
-            i = np.arange(1, n + 1)[:, None] / n
-            return float(max(np.max(i - F), np.max(F - (i - 1.0 / n)), 0.0))
-
+        row_layout = _sliced_tv_full_scan
         table = kernels.cdf_table_for(gaussian(8))
         rng = substream(29, "sliced-layout")
         # n = 1001 and 1500 end in a short block of the pruned scan.

@@ -75,10 +75,13 @@ _FIELD_TYPES = get_type_hints(SweepConfig)
 def _coerce(key: str, raw: str):
     """Parse ``raw`` as field ``key``'s annotated type; tuples are comma-separated."""
     kind = _FIELD_TYPES[key]
-    if get_origin(kind) is tuple:
-        item = get_args(kind)[0]
-        return tuple(item(tok) for tok in raw.split(",") if tok.strip())
-    return kind(raw)
+    try:
+        if get_origin(kind) is tuple:
+            item = get_args(kind)[0]
+            return tuple(item(tok) for tok in raw.split(",") if tok.strip())
+        return kind(raw)
+    except ValueError:
+        raise ValueError(f"config line {key}={raw}: not a valid value") from None
 
 
 def load_config(base: SweepConfig, path: str | None, sets: list[str]) -> SweepConfig:
@@ -283,10 +286,31 @@ def _config(args, defaults: SweepConfig) -> SweepConfig:
     """Defaults, then the config file and ``--set`` lines, then the seed.
 
     Seed precedence: ``--seed`` > ``SEED`` > a ``seed=`` config line > 0.
+    A config error or a seed that is not a non-negative integer ends the run
+    with one line on stderr and status 2, before any cell runs.
     """
-    cfg = load_config(defaults, args.config, args.set)
-    seed = args.seed if args.seed is not None else os.environ.get("SEED")
-    return cfg if seed is None else replace(cfg, seed=int(seed))
+    try:
+        cfg = load_config(defaults, args.config, args.set)
+    except ValueError as exc:
+        _usage_error(str(exc))
+    if args.seed is not None:
+        raw, source = args.seed, "--seed"
+    elif "SEED" in os.environ:
+        raw, source = os.environ["SEED"], "SEED"
+    else:
+        raw, source = cfg.seed, "seed= line"
+    try:
+        seed = int(raw)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        _usage_error(f"{source} must be a non-negative integer, got {raw!r}")
+    return replace(cfg, seed=seed)
+
+
+def _usage_error(message: str):
+    print(f"malalab: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--config", default=None, help="key=value config file")
-        sp.add_argument("--seed", type=int, default=None,
+        sp.add_argument("--seed", default=None,
                         help="master seed (default: SEED env var, then a "
                              "seed= config line, then 0)")
         sp.add_argument("--out", default=None, help="output CSV path")

@@ -25,7 +25,8 @@ trajectories. Distinct chains never share mutable state; a single
 At d = 1, :func:`run_chain` runs MALA and ULA on Python floats, bitwise the
 chain of :func:`mala_step`/:func:`ula_step` without numpy's per-call cost on
 (1,) arrays. V and ∇V still go through ``Potential.value``/``grad`` on a
-(1,) buffer, not the float profile, so whatever wraps them sees every call.
+(1,) buffer, which evaluate a built-in target there on floats, so whatever
+wraps those methods sees every call.
 """
 
 from __future__ import annotations
@@ -259,8 +260,10 @@ def _langevin_floats(p: Potential, h: float, s: ChainState, n_steps, thin, adjus
     """run_chain's MALA/ULA loop at d = 1 on floats, bitwise _langevin_step's.
 
     The scalar standard_normal() draws the bits of shape (1,); t * t is
-    numpy's array square and (x − y) ** 2 its scalar power. ULA evaluates ∇V
-    alone: its ratio is never read. Leaves s.x at the final state; returns
+    numpy's array square and (x − y) ** 2 its scalar power. V and ∇V come from
+    ``p.value``/``p.grad`` on the (1,) buffer, where a class-level patch sees
+    them and a built-in target is evaluated on floats. ULA evaluates ∇V alone:
+    its ratio is never read. Leaves s.x at the final state; returns
     (n_accepted, Σ squared displacement, recorded states as floats or None).
     """
     x, g = float(s.x[0]), float(s.cached_grad[0])

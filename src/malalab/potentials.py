@@ -25,6 +25,7 @@ Instances are frozen and safe to share across concurrent workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -90,8 +91,25 @@ class Potential:
             return t + np.sin(self.w * t) / (2.0 * self.w)
         return np.asarray(self._profile_dv(t), dtype=float)
 
+    def _one_point(self, x) -> float | None:
+        """The float in a (1,) float64 array at a built-in d = 1 target, else None."""
+        if (type(x) is np.ndarray and x.shape == (1,) and self.d == 1
+                and x.dtype == np.float64 and self.kind in (GAUSSIAN, ADVERSARIAL)):
+            if not math.isfinite(t := x.item()):
+                raise ValueError("input contains non-finite entries")
+            return t
+        return None
+
     def value(self, x) -> float | np.ndarray:
-        """V(x). Accepts a single point (d,) or a batch (..., d)."""
+        """V(x). Accepts a single point (d,) or a batch (..., d).
+
+        A (1,) float64 point of a built-in d = 1 target is evaluated on floats,
+        bit for bit the array path (libm cos); overflow there gives inf even
+        under ``np.errstate(over="raise")``.
+        """
+        if (t := self._one_point(x)) is not None:
+            v = 0.5 * (t * t)
+            return v if self.kind == GAUSSIAN else v - self.amp * math.cos(self.w * t)
         x = self._check_input(x)
         # Sum, then scale by amp: the profile form Σ_i v(x_i) rounds
         # differently and would move verify's density-oracle row.
@@ -104,7 +122,10 @@ class Potential:
         return float(out) if out.ndim == 0 else out
 
     def grad(self, x) -> np.ndarray:
-        """∇V(x), same leading shape as the input."""
+        """∇V(x) in a fresh array shaped like the input; floats as in :meth:`value`."""
+        if (t := self._one_point(x)) is not None:
+            return np.array([t if self.kind == GAUSSIAN
+                             else t + math.sin(self.w * t) / (2.0 * self.w)])
         return self._dv(self._check_input(x))
 
     def value_and_grad(self, x):

@@ -35,7 +35,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, get_args, get_origin, get_type_hints
+from typing import Callable, NoReturn, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -291,7 +291,7 @@ def _config(args, defaults: SweepConfig) -> SweepConfig:
     """
     try:
         cfg = load_config(defaults, args.config, args.set)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         _usage_error(str(exc))
     if args.seed is not None:
         raw, source = args.seed, "--seed"
@@ -308,7 +308,7 @@ def _config(args, defaults: SweepConfig) -> SweepConfig:
     return replace(cfg, seed=seed)
 
 
-def _usage_error(message: str):
+def _usage_error(message: str) -> NoReturn:
     print(f"malalab: {message}", file=sys.stderr)
     raise SystemExit(2)
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from malalab import verify
+from malalab import cli, verify
 from malalab.cli import SweepConfig, load_config, main, step_size, target_for
 from malalab.potentials import adversarial_cosine, gaussian
 
@@ -220,6 +220,67 @@ class TestConfig:
         main(argv + (["--seed", flag] if flag is not None else []))
         rows = read_rows(out)[1:]
         assert rows[0][8] == expected
+
+    @pytest.mark.parametrize("source, value", [
+        ("--seed", "-1"), ("--seed", "abc"), ("--seed", "1.5"),
+        ("SEED", "-1"), ("SEED", "abc"), ("SEED", ""),
+        ("seed=", "-1"), ("seed=", "abc"),
+    ])
+    def test_bad_seed_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys,
+                                            source, value):
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(cli.diagnostics, "mean_acceptance", no_cell)
+        monkeypatch.delenv("SEED", raising=False)
+        out = tmp_path / "accept.csv"
+        argv = ["sweep-accept", "--out", str(out), "--set", "d_grid=64"]
+        if source == "--seed":
+            argv += ["--seed", value]
+        elif source == "SEED":
+            monkeypatch.setenv("SEED", value)
+        else:
+            cfg_file = tmp_path / "sweep.cfg"
+            cfg_file.write_text(f"seed={value}\n")
+            argv += ["--config", str(cfg_file)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        [line] = captured.err.splitlines()
+        assert source in line and value in line
+
+    @pytest.mark.parametrize("command", ["verify", "finite-selftest", "mix",
+                                         "sweep-collapse", "sweep-gap"])
+    def test_every_command_rejects_a_negative_seed(self, tmp_path, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "-5", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2 and not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("flag, value, shown", [
+        ("--set", "n_states=ten", "n_states=ten"), ("--set", "banana=1", "banana"),
+        ("--config", "missing.cfg", "missing.cfg"),
+    ])
+    def test_config_error_exits_2_with_one_line(self, tmp_path, capsys, flag,
+                                                value, shown):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep-accept", flag, str(tmp_path / value) if flag == "--config"
+                  else value, "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert shown in line
+
+    def test_seed_spellings_that_int_accepts_still_work(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("SEED", raising=False)
+        base = ["sweep-accept", "--set", "d_grid=64", "--set", "n_states=10",
+                "--set", "n_mc=10", "--out"]
+        main(base + [str(tmp_path / "a.csv"), "--seed", "7"])
+        main(base + [str(tmp_path / "b.csv"), "--seed", "007"])
+        monkeypatch.setenv("SEED", " +7 ")
+        main(base + [str(tmp_path / "c.csv")])
+        a = (tmp_path / "a.csv").read_bytes()
+        assert a == (tmp_path / "b.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
 
     def test_verify_reads_config_seed(self, tmp_path, monkeypatch):
         monkeypatch.delenv("SEED", raising=False)

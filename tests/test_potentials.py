@@ -157,19 +157,23 @@ def test_alpha_beta_ordering_enforced():
 
 
 def test_dimension_mismatch_raises():
-    bad_inputs = [np.zeros(3), np.zeros((5, 3)), np.array(1.0),
+    bad_inputs = [np.zeros(3), np.zeros((5, 3)), np.array(1.0), np.zeros(1),
                   np.array([1.0, np.nan, 0.0, 0.0])]
     for bad in (np.nan, np.inf, -np.inf):
         X = np.zeros((3, 4))
         X[1, 2] = bad
         bad_inputs.append(X)
-    kinds = [gaussian(4), adversarial_cosine(4, 0.2),
-             custom_separable(4, np.cosh, np.sinh, (1.0, 30.0))]
-    for p in kinds:
-        for method in (p.value, p.grad, p.value_and_grad):
-            for x in bad_inputs:
-                with pytest.raises(ValueError):
-                    method(x)
+    # At d = 1 a (1,) float64 point of a built-in target is evaluated on floats.
+    bad_points = [np.array([bad]) for bad in (np.nan, np.inf, -np.inf)]
+    bad_points += [np.array(0.5), np.zeros(2)]
+    for d, inputs in ((4, bad_inputs), (1, bad_points)):
+        kinds = [gaussian(d), adversarial_cosine(d, 0.2),
+                 custom_separable(d, np.cosh, np.sinh, (1.0, 30.0))]
+        for p in kinds:
+            for method in (p.value, p.grad, p.value_and_grad):
+                for x in inputs:
+                    with pytest.raises(ValueError):
+                        method(x)
 
 
 def test_value_and_grad_delegates(monkeypatch):
@@ -226,3 +230,90 @@ def test_potentials_are_immutable():
     p = gaussian(3)
     with pytest.raises(dataclasses.FrozenInstanceError):
         p.d = 5
+
+
+one_point_targets = pytest.mark.parametrize(
+    "p", [gaussian(1), adversarial_cosine(1, 0.2),
+          dataclasses.replace(adversarial_cosine(64, 0.2), d=1)],
+    ids=["gaussian", "adversarial", "adversarial-replaced"])
+
+
+class TestOnePointBranch:
+    """value/grad evaluate a (1,) float64 point of a built-in d = 1 target on
+    Python floats. It must give the bits of the array path, which a (1, 1)
+    batch takes; so this also fails where numpy's cos/sin differ from libm's.
+    """
+
+    # t * t is subnormal at 1e-160 and 2e-158; at 2e-158 (0.5 * t) * t
+    # rounds apart from 0.5 * (t * t).
+    SPECIAL = [0.0, -0.0, 5e-324, 1e-160, 2e-158, -2e-158, 1e160, 1.7e308, -1.7e308]
+
+    @one_point_targets
+    def test_matches_the_batch_path_bit_for_bit(self, p):
+        rng = np.random.default_rng(1201)
+        ts = np.concatenate([rng.standard_normal(10_000) * scale
+                             for scale in (1.0, 50.0, 1e6)] + [self.SPECIAL])
+        for t in ts:
+            x = np.array([t])
+            value, grad = p.value(x), p.grad(x)
+            with np.errstate(over="ignore"):
+                batch_value, batch_grad = p.value(x[None]), p.grad(x[None])
+            assert np.float64(value).tobytes() == batch_value.tobytes(), t
+            assert grad.tobytes() == batch_grad.tobytes(), t
+
+    @one_point_targets
+    def test_returns_a_float_and_a_fresh_array(self, p):
+        x = np.array([0.7])
+        value, grad = p.value_and_grad(x)
+        assert type(value) is float
+        assert type(grad) is np.ndarray and grad.dtype == np.float64
+        assert grad.shape == (1,) and not np.shares_memory(grad, x)
+
+    @one_point_targets
+    def test_overflow_gives_inf_under_raise(self, p):
+        with np.errstate(over="raise"):
+            assert p.value(np.array([1e160])) == math.inf
+
+    @one_point_targets
+    def test_non_finite_point_raises_the_array_message(self, p):
+        for bad in (np.nan, np.inf, -np.inf):
+            for method in (p.value, p.grad):
+                with pytest.raises(ValueError, match="non-finite entries"):
+                    method(np.array([bad]))
+
+    @one_point_targets
+    def test_only_a_plain_float64_point_takes_the_branch(self, p, monkeypatch):
+        class Sub(np.ndarray):
+            pass
+
+        checked = []
+        check = potentials.Potential._check_input
+        monkeypatch.setattr(potentials.Potential, "_check_input",
+                            lambda self, x: checked.append(1) or check(self, x))
+        p.value(np.array([0.5]))
+        p.grad(np.array([0.5]))
+        assert checked == []
+        others = [[0.5], np.array([1]), np.array([0.5], dtype=np.float32),
+                  np.array([[0.5]]), np.array([0.5]).view(Sub)]
+        for x in others:
+            p.value(x)
+            p.grad(x)
+        assert len(checked) == 2 * len(others)
+
+    def test_custom_target_calls_its_own_profile(self):
+        calls = []
+
+        def v(t):
+            calls.append("v")
+            return np.cosh(t)
+
+        def dv(t):
+            calls.append("dv")
+            return np.sinh(t)
+
+        p = custom_separable(1, v, dv, (1.0, 30.0))
+        x = np.array([0.5])
+        value, grad = p.value(x), p.grad(x)
+        assert calls == ["v", "dv"]
+        assert np.float64(value).tobytes() == p.value(x[None]).tobytes()
+        assert grad.tobytes() == p.grad(x[None]).tobytes()

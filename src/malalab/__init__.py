@@ -10,7 +10,6 @@ from .diagnostics import (
     AcceptanceEstimate,
     EstimateWithSE,
     ProjectionReport,
-    TypicalSetFilter,
     acceptance_at,
     dirichlet_gap_upper,
     gaussian_conductance_bound,

@@ -64,7 +64,7 @@ class SweepConfig:
     m0: float = 1.0
     eps: float = 0.25
     max_steps: int = 2000
-    start: str = "warm-half"  # warm-half | exact | origin
+    start: str = "warm-half"  # a key of _STARTS
     n_instances: int = 500
     seed: int = 0
 
@@ -164,60 +164,57 @@ def _row(cfg: SweepConfig, experiment: str, d: int, h: float, estimator: str,
     return (experiment, d, h, eta, estimator, value, std_error, n, cfg.seed)
 
 
-def _acceptance_cell(cfg: SweepConfig, experiment: str, d: int, idx: int):
+def _cell(run, cfg: SweepConfig, d: int, *args):
+    """run(cfg, p, h, *args) as a cell, with the target p and step h at d resolved now."""
     p = target_for(cfg, d)
-    h = step_size(cfg, d, p)
+    return partial(run, cfg, p, step_size(cfg, d, p), *args)
+
+
+def _acceptance_cell(cfg: SweepConfig, p: Potential, h: float, experiment: str, idx: int):
     res = diagnostics.mean_acceptance(
         p, h, cfg.n_states, cfg.n_mc,
         seed=substream(cfg.seed, "sweep", experiment, idx),
     )
-    return _row(cfg, experiment, d, h, "mean_acceptance",
+    return _row(cfg, experiment, p.d, h, "mean_acceptance",
                 res.estimate.value, res.estimate.std_error, res.n_states * res.n_mc)
 
 
-def _gap_cell(cfg: SweepConfig, d: int, h: float, idx: int):
-    res = diagnostics.dirichlet_gap_upper(
-        target_for(cfg, d), h, cfg.n_states, substream(cfg.seed, "sweep", "gap", idx)
-    )
-    return _row(cfg, "gap", d, h, "dirichlet_gap_upper",
+def _gap_cell(cfg: SweepConfig, p: Potential, h: float, idx: int):
+    res = diagnostics.dirichlet_gap_upper(p, h, cfg.n_states,
+                                          substream(cfg.seed, "sweep", "gap", idx))
+    return _row(cfg, "gap", p.d, h, "dirichlet_gap_upper",
                 res.value, res.std_error, res.n_samples)
 
 
-def _mix_cell(cfg: SweepConfig, d: int, idx: int):
-    p = target_for(cfg, d)
-    h = step_size(cfg, d, p)
-    if cfg.start == "warm-half":
-        def sampler(n, rng):
-            return math.sqrt(0.5) * rng.standard_normal((n, d))
-    elif cfg.start == "exact":
-        def sampler(n, rng):
-            return kernels.sample_separable_target(p, n, rng)
-    elif cfg.start == "origin":
-        def sampler(n, rng):
-            return np.zeros((n, d))
-    else:
-        raise ValueError(f"unknown start {cfg.start!r}")
+# The mix replicas' starting laws: (p, n, rng) -> n rows of dimension p.d.
+_STARTS = {
+    "warm-half": lambda p, n, rng: math.sqrt(0.5) * rng.standard_normal((n, p.d)),
+    "exact": lambda p, n, rng: kernels.sample_separable_target(p, n, rng),
+    "origin": lambda p, n, rng: np.zeros((n, p.d)),
+}
+
+
+def _mix_cell(cfg: SweepConfig, p: Potential, h: float, idx: int):
     steps = diagnostics.mixing_time_measure(
-        p, h, sampler, cfg.eps, cfg.max_steps, cfg.n_replicas,
+        p, h, partial(_STARTS[cfg.start], p), cfg.eps, cfg.max_steps, cfg.n_replicas,
         substream(cfg.seed, "sweep", "mix", idx),
     )
-    return _row(cfg, "mix", d, h, "sliced_tv_mixing_steps_lower_bound",
+    return _row(cfg, "mix", p.d, h, "sliced_tv_mixing_steps_lower_bound",
                 float(steps), 0.0, cfg.n_replicas)
 
 
 def _collapse_cells(cfg: SweepConfig):
     # Cell 2i is the perturbed target at d_grid[i], 2i+1 its Gaussian companion.
-    return [partial(_acceptance_cell, replace(cfg, kind=kind), "collapse", d, 2 * i + j)
-            for i, d in enumerate(cfg.d_grid)
-            for j, kind in enumerate(("adversarial", "gaussian"))]
+    pair = [replace(cfg, kind=kind) for kind in ("adversarial", "gaussian")]
+    return [_cell(_acceptance_cell, c, d, "collapse", 2 * i + j)
+            for i, d in enumerate(cfg.d_grid) for j, c in enumerate(pair)]
 
 
 def _gap_cells(cfg: SweepConfig):
     if not cfg.h_grid:
         raise ValueError("sweep-gap requires a nonempty h_grid")
-    return [partial(_gap_cell, cfg, d, h, i * len(cfg.h_grid) + j)
-            for i, d in enumerate(cfg.d_grid)
-            for j, h in enumerate(cfg.h_grid)]
+    return [partial(_gap_cell, cfg, target_for(cfg, d), h, i * len(cfg.h_grid) + j)
+            for i, d in enumerate(cfg.d_grid) for j, h in enumerate(cfg.h_grid)]
 
 
 @dataclass(frozen=True)
@@ -235,7 +232,7 @@ SWEEPS = {
     "sweep-accept": _Sweep(
         SweepConfig(kind="gaussian", d_grid=tuple(2**k for k in range(6, 13)),
                     h_rule="power", c=0.5, p=-1.0 / 3.0),
-        lambda cfg: [partial(_acceptance_cell, cfg, "accept", d, i)
+        lambda cfg: [_cell(_acceptance_cell, cfg, d, "accept", i)
                      for i, d in enumerate(cfg.d_grid)],
         "sweep_accept.csv"),
     "sweep-collapse": _Sweep(
@@ -250,7 +247,7 @@ SWEEPS = {
     "mix": _Sweep(
         SweepConfig(kind="gaussian", d_grid=(64,), h_rule="theorem1",
                     c=0.1, eps=0.05, n_replicas=4096, max_steps=2000),
-        lambda cfg: [partial(_mix_cell, cfg, d, i) for i, d in enumerate(cfg.d_grid)],
+        lambda cfg: [_cell(_mix_cell, cfg, d, i) for i, d in enumerate(cfg.d_grid)],
         "mix.csv", " (lower-bound proxy, trend only)"),
 }
 
@@ -258,7 +255,14 @@ SWEEPS = {
 def cmd_sweep(args) -> int:
     sweep = SWEEPS[args.command]
     cfg = _config(args, sweep.defaults)
-    cells = sweep.cells(cfg)
+    if cfg.start not in _STARTS:
+        _usage_error(f"unknown start {cfg.start!r}")
+    if cfg.n_states < 2 or cfg.n_mc < 1:
+        _usage_error("need n_states >= 2 and n_mc >= 1")
+    try:  # building the cells resolves every target and step size
+        cells = sweep.cells(cfg)
+    except ValueError as exc:
+        _usage_error(str(exc))
     if args.threads <= 1:
         rows = [cell() for cell in cells]
     else:

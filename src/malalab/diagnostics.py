@@ -5,8 +5,8 @@ Implemented observables:
 * rejection probability at a state, which equals the total-variation
   distance between the adjusted kernel and its proposal,
   ||T_x − Q_x||_TV = 1 − ∫ Q(x, y) A(x, y) dy;
-* mean acceptance over exact stationary draws, restricted to a typical-set
-  event, by default ||x||_inf < 4·sqrt(ln(8d));
+* mean acceptance over exact stationary draws, restricted to the
+  typical-set event ||x||_inf < 4·sqrt(ln(8d));
 * the Gaussian-target closed-form bound on the acceptance integrand
   ∫ Q(x, y) A(x, y) dy, which drives the conductance collapse;
 * a Dirichlet-form upper estimate of the spectral gap using the first
@@ -61,23 +61,9 @@ def _mean_se(values: np.ndarray) -> EstimateWithSE:
     return EstimateWithSE(value=float(values.mean()), std_error=se, n_samples=n)
 
 
-@dataclass(frozen=True)
-class TypicalSetFilter:
-    """Restriction to the high-probability event ||x||_inf < sup_bound."""
-
-    sup_bound: float
-
-    def __post_init__(self):
-        if self.sup_bound <= 0:
-            raise ValueError("sup_bound must be positive")
-
-    @classmethod
-    def for_dimension(cls, d: int) -> "TypicalSetFilter":
-        """Default bound 4·sqrt(ln(8d)), which holds with probability >= 1 − 1/(4d)."""
-        return cls(sup_bound=4.0 * math.sqrt(math.log(8.0 * d)))
-
-    def mask(self, X: np.ndarray) -> np.ndarray:
-        return np.max(np.abs(X), axis=1) < self.sup_bound
+def _sup_bound(d: int) -> float:
+    """Typical-set bound 4·sqrt(ln(8d)) on ||x||_inf; holds with probability >= 1 − 1/(4d)."""
+    return 4.0 * math.sqrt(math.log(8.0 * d))
 
 
 def _acceptance_values(p: Potential, h: float, x, n_mc: int, rng) -> np.ndarray:
@@ -141,24 +127,20 @@ def mean_acceptance(
     h: float,
     n_states: int,
     n_mc: int,
-    filt: TypicalSetFilter | None = None,
     seed=0,
 ) -> AcceptanceEstimate:
     """Double Monte-Carlo estimate of E_{x~pi} A(x) over exact stationary draws.
 
     Draws ``n_states`` exact samples from the target, drops those outside
-    the typical-set event ``filt`` (default
-    :meth:`TypicalSetFilter.for_dimension`; the dropped fraction is
-    reported), and estimates A(x) per surviving state with ``n_mc``
+    the typical-set event ||x||_inf < 4·sqrt(ln(8d)) (the dropped fraction
+    is reported), and estimates A(x) per surviving state with ``n_mc``
     proposals. The standard error is the between-state SE of the per-state
     means, which accounts for both sampling layers.
     """
     if n_states < 2 or n_mc < 1:
         raise ValueError("need n_states >= 2 and n_mc >= 1")
-    if filt is None:
-        filt = TypicalSetFilter.for_dimension(p.d)
     X = kernels.sample_separable_target(p, n_states, substream(seed, "states"))
-    keep = filt.mask(X)
+    keep = np.max(np.abs(X), axis=1) < _sup_bound(p.d)
     rejected_fraction = 1.0 - float(keep.mean())
     X = X[keep]
     if len(X) < 2:

@@ -46,15 +46,15 @@ class FiniteChain:
 
 
 # Both checks are written so that a NaN or infinite entry fails them.
-def _check_distribution(pi: np.ndarray, what: str, tol: float = 1e-9):
-    if pi.ndim != 1 or not np.all(pi >= 0) or not abs(pi.sum() - 1.0) <= tol:
+def _check_distribution(pi: np.ndarray, what: str):
+    if pi.ndim != 1 or not np.all(pi >= 0) or not abs(pi.sum() - 1.0) <= 1e-9:
         raise ValueError(f"{what} must be a probability vector")
 
 
-def _check_row_stochastic(M: np.ndarray, what: str, tol: float = 1e-9):
+def _check_row_stochastic(M: np.ndarray, what: str):
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{what} must be a square matrix")
-    if not np.all(M >= -tol) or not np.max(np.abs(M.sum(axis=1) - 1.0)) <= tol:
+    if not np.all(M >= -1e-9) or not np.max(np.abs(M.sum(axis=1) - 1.0)) <= 1e-9:
         raise ValueError(f"{what} must be row-stochastic")
 
 

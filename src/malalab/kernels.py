@@ -11,10 +11,10 @@ accept-reject step using
                   + (||y − x + h·∇V(x)||² − ||x − y + h·∇V(y)||²) / (4h),
 
 and rejection leaves the state bitwise unchanged (the kernel keeps an atom
-at x). ULA runs the same proposal unadjusted. For the Gaussian target the
-time-h law of the continuous Langevin diffusion is the exact
-Ornstein-Uhlenbeck kernel N(e^{−h}·x, (1 − e^{−2h})·I_d); for general
-targets a fine Euler discretization approximates it.
+at x). ULA runs the same proposal unadjusted. The one-step references are
+the exact Ornstein-Uhlenbeck kernel N(e^{−h}·x, (1 − e^{−2h})·I_d), the
+time-h Langevin law of the Gaussian target, and a fine Euler path for
+general targets; :func:`run_chain` drives MALA and ULA only.
 
 Acceptance tests are done in log space, log u <= log a with u ~ Uniform(0,1],
 which is overflow-safe for large ||x||². All randomness is drawn from
@@ -42,9 +42,6 @@ from .rng import substream
 
 MALA = "mala"
 ULA = "ula"
-OU_EXACT = "ou_exact"
-DIFFUSION_REF = "diffusion_ref"
-_VARIANTS = (MALA, ULA, OU_EXACT, DIFFUSION_REF)
 
 
 def _check_step(h) -> None:
@@ -55,27 +52,23 @@ def _check_step(h) -> None:
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Step size and kernel variant; ``substeps`` applies to diffusion_ref only."""
+    """Step size and kernel variant, MALA or ULA."""
 
     h: float
     variant: str = MALA
-    substeps: int = 1
 
     def __post_init__(self):
         _check_step(self.h)
-        if self.variant not in _VARIANTS:
+        if self.variant not in (MALA, ULA):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.substeps < 1:
-            raise ValueError("substeps must be >= 1")
 
 
 @dataclass
 class ChainState:
     """Mutable chain head: position, cached potential value/gradient, RNG.
 
-    Under MALA and ULA ``cached_grad`` equals ∇V(x); it is refreshed only on
-    acceptance, which halves gradient evaluations at low acceptance rates.
-    OU-exact and diffusion-reference steps read no cache and move x alone.
+    ``cached_grad`` equals ∇V(x); it is refreshed only on acceptance, which
+    halves gradient evaluations at low acceptance rates.
     """
 
     x: np.ndarray
@@ -306,18 +299,15 @@ def run_chain(
     """Drive a single chain for ``n_steps`` transitions.
 
     ``thin`` > 0 records the state every ``thin`` steps (including step 0)
-    into ``trajectory``. OU-exact and diffusion-reference variants count
-    every step as accepted. At d = 1 MALA and ULA run on floats but still
-    call ``p.value``/``p.grad``, so wrappers of those see every evaluation.
+    into ``trajectory``; ULA counts every step as accepted. At d = 1 the
+    chain runs on floats but still calls ``p.value``/``p.grad``, so wrappers
+    of those see every evaluation.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     state = init_chain(p, x0, seed)
-    # The variant is fixed for the run: resolve it once here, not through
-    # mala_step/ula_step's variant checks on every step.
-    langevin = params.variant in (MALA, ULA)
-    adjusted = params.variant == MALA
-    if langevin and state.x.shape == (1,):
+    adjusted = params.variant == MALA  # once per run, not per step as in mala_step
+    if state.x.shape == (1,):
         n_accepted, sq_disp_total, snapshots = _langevin_floats(
             p, params.h, state, n_steps, thin, adjusted
         )
@@ -325,23 +315,9 @@ def run_chain(
         n_accepted, sq_disp_total = 0, 0.0
         snapshots = [state.x.copy()] if thin > 0 else None
         for step in range(1, n_steps + 1):
-            if langevin:
-                state, rec = _langevin_step(p, params.h, state, adjusted)
-                n_accepted += rec.accepted
-                sq_disp_total += rec.sq_displacement_coord1
-            else:
-                old0 = state.x[0]
-                if params.variant == OU_EXACT:
-                    y = ou_exact_step(params.h, state.x, state.rng)
-                else:
-                    y = diffusion_reference_step(
-                        p, params.h, state.x, params.substeps, state.rng
-                    )
-                if not np.isfinite(y).all():
-                    raise ValueError("step left the chain at non-finite entries")
-                sq_disp_total += float((old0 - y[0]) ** 2)
-                n_accepted += 1
-                state.x = y
+            state, rec = _langevin_step(p, params.h, state, adjusted)
+            n_accepted += rec.accepted
+            sq_disp_total += rec.sq_displacement_coord1
             if thin > 0 and step % thin == 0:
                 snapshots.append(state.x.copy())
     return ChainSummary(

@@ -271,6 +271,31 @@ class TestConfig:
         [line] = capsys.readouterr().err.splitlines()
         assert shown in line
 
+    @pytest.mark.parametrize("command, setting, shown", [
+        ("sweep-accept", "kind=banana", "banana"), ("mix", "kind=banana", "banana"),
+        ("sweep-accept", "h_rule=nope", "nope"), ("mix", "h_rule=nope", "nope"),
+        ("mix", "start=bogus", "bogus"),
+        ("sweep-accept", "n_states=0", "n_states"), ("sweep-gap", "n_states=1", "n_states"),
+        ("sweep-collapse", "n_mc=0", "n_mc"),
+        ("sweep-gap", "h_grid=", "h_grid"),
+        ("sweep-collapse", "eta=0.3", "0.3"), ("sweep-gap", "eta=0.25", "0.25"),
+    ])
+    def test_bad_value_exits_2_before_any_cell(self, tmp_path, monkeypatch, capsys,
+                                                command, setting, shown):
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        for name in ("mean_acceptance", "dirichlet_gap_upper", "mixing_time_measure"):
+            monkeypatch.setattr(cli.diagnostics, name, no_cell)
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--set", "d_grid=16", "--set", setting, "--out", str(out)])
+        assert exc.value.code == 2 and not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("malalab: ") and shown in line
+
     def test_seed_spellings_that_int_accepts_still_work(self, tmp_path, monkeypatch):
         monkeypatch.delenv("SEED", raising=False)
         base = ["sweep-accept", "--set", "d_grid=64", "--set", "n_states=10",

@@ -10,7 +10,6 @@ from malalab import finite_chain, kernels
 from malalab.diagnostics import (
     EstimateWithSE,
     ProjectionReport,
-    TypicalSetFilter,
     acceptance_at,
     dirichlet_gap_upper,
     gaussian_conductance_bound,
@@ -23,7 +22,7 @@ from malalab.diagnostics import (
     tv_mc_estimate,
 )
 from malalab.oracle1d import gaussian_tv_equal_cov
-from malalab.potentials import Potential, adversarial_cosine, gaussian
+from malalab.potentials import Potential, adversarial_cosine, custom_separable, gaussian
 from malalab.rng import substream
 
 
@@ -88,16 +87,17 @@ class TestMeanAcceptance:
         assert res.estimate.value - 3 * res.estimate.std_error >= 0.5
 
     def test_filter_reporting(self):
-        p = gaussian(4)
-        tight = TypicalSetFilter(sup_bound=1.0)
-        res = mean_acceptance(p, 0.1, 400, 16, filt=tight, seed=10)
+        # N(0, 36) coordinates reach past the bound 4·sqrt(ln 32) ≈ 7.45 at
+        # d = 4 in about 0.62 of the states; N(0, 1) ones almost never do.
+        wide = custom_separable(4, lambda x: x * x / 72.0, lambda x: x / 36.0,
+                                (1.0 / 36.0, 1.0 / 36.0))
+        res = mean_acceptance(wide, 0.1, 400, 16, seed=10)
         assert 0.5 < res.filter_rejected_fraction < 1.0
-        loose = mean_acceptance(p, 0.1, 400, 16, seed=10)
+        loose = mean_acceptance(gaussian(4), 0.1, 400, 16, seed=10)
         assert loose.filter_rejected_fraction <= 0.01
 
     def test_default_filter_dimension_rule(self):
-        filt = TypicalSetFilter.for_dimension(4096)
-        assert filt.sup_bound == pytest.approx(4 * math.sqrt(math.log(8 * 4096)))
+        assert dg._sup_bound(4096) == pytest.approx(4 * math.sqrt(math.log(8 * 4096)))
 
 
 def _composed_acceptance_values(p, h, x, n_mc, rng):
@@ -163,7 +163,7 @@ class TestAcceptancePathBits:
         seed, twin = _twin_seeds(seed_kind)
         res = mean_acceptance(p, h, n_states, n_mc, seed=seed)
         X = kernels.sample_separable_target(p, n_states, substream(twin, "states"))
-        X = X[TypicalSetFilter.for_dimension(d).mask(X)]
+        X = X[np.max(np.abs(X), axis=1) < dg._sup_bound(d)]
         per_state = [
             _composed_acceptance_values(
                 p, h, x, n_mc, substream(twin, "proposals", i)

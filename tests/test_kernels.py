@@ -404,19 +404,6 @@ class TestRunChain:
             monkeypatch.setattr(Potential, name, counted)
         return calls
 
-    @pytest.mark.parametrize("variant, grad_calls", [
-        (kernels.OU_EXACT, 1), (kernels.DIFFUSION_REF, 1 + 100 * 2),
-    ])
-    def test_exact_and_reference_steps_evaluate_only_what_they_read(
-        self, monkeypatch, variant, grad_calls
-    ):
-        # V and ∇V are evaluated once, by init_chain; the diffusion reference
-        # also takes ∇V at each of its Euler substeps.
-        calls = self._count_potential_calls(monkeypatch)
-        params = KernelParams(h=0.5, variant=variant, substeps=2)
-        run_chain(gaussian(3), params, np.zeros(3), 100, seed=27)
-        assert calls == {"value": 1, "grad": grad_calls}
-
     @pytest.mark.parametrize("variant, value_calls", [
         (kernels.MALA, 1 + 100), (kernels.ULA, 1),
     ])
@@ -430,17 +417,6 @@ class TestRunChain:
         run_chain(adversarial_cosine(1, 0.2), KernelParams(h=0.5, variant=variant),
                   np.zeros(1), 100, seed=28)
         assert calls == {"value": value_calls, "grad": 1 + 100}
-
-    def test_non_finite_reference_endpoint_raises(self):
-        params = KernelParams(h=1e308, variant=kernels.DIFFUSION_REF)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="non-finite"):
-                run_chain(gaussian(1), params, np.array([10.0]), 1, seed=0)
-
-    def test_ou_variant_runs(self):
-        summary = run_chain(gaussian(2), KernelParams(h=0.5, variant=kernels.OU_EXACT),
-                            np.zeros(2), 100, seed=27)
-        assert summary.acceptance_rate == 1.0
 
 
 class TestSampleSeparableTarget:
@@ -473,7 +449,7 @@ def test_kernel_params_validation():
     with pytest.raises(ValueError):
         KernelParams(h=0.1, variant="rwm")
     with pytest.raises(ValueError):
-        KernelParams(h=0.1, substeps=0)
+        KernelParams(h=0.1, variant="ou_exact")  # a one-step kernel, not a chain variant
     with pytest.raises(ValueError):
         mala_step(gaussian(2), KernelParams(h=0.1, variant=kernels.ULA),
                   init_chain(gaussian(2), np.zeros(2), 0))

@@ -165,9 +165,11 @@ def _row(cfg: SweepConfig, experiment: str, d: int, h: float, estimator: str,
 
 
 def _cell(run, cfg: SweepConfig, d: int, *args):
-    """run(cfg, p, h, *args) as a cell, with the target p and step h at d resolved now."""
+    """run(cfg, p, h, *args) as a cell, with the target p and step h at d checked now."""
     p = target_for(cfg, d)
-    return partial(run, cfg, p, step_size(cfg, d, p), *args)
+    h = step_size(cfg, d, p)
+    kernels._check_step(h)
+    return partial(run, cfg, p, h, *args)
 
 
 def _acceptance_cell(cfg: SweepConfig, p: Potential, h: float, experiment: str, idx: int):
@@ -210,10 +212,18 @@ def _collapse_cells(cfg: SweepConfig):
             for i, d in enumerate(cfg.d_grid) for j, c in enumerate(pair)]
 
 
+def _mix_cells(cfg: SweepConfig):
+    n_min = diagnostics._TV_MIN_ROWS
+    if not 0.0 < cfg.eps < 1.0 or cfg.max_steps < 0 or cfg.n_replicas < n_min:
+        raise ValueError(f"mix needs eps in (0, 1), max_steps >= 0 and n_replicas >= {n_min}")
+    return [_cell(_mix_cell, cfg, d, i) for i, d in enumerate(cfg.d_grid)]
+
+
 def _gap_cells(cfg: SweepConfig):
     if not cfg.h_grid:
         raise ValueError("sweep-gap requires a nonempty h_grid")
-    return [partial(_gap_cell, cfg, target_for(cfg, d), h, i * len(cfg.h_grid) + j)
+    # Each h of h_grid is a fixed step.
+    return [_cell(_gap_cell, replace(cfg, h_rule="fixed", c=h), d, i * len(cfg.h_grid) + j)
             for i, d in enumerate(cfg.d_grid) for j, h in enumerate(cfg.h_grid)]
 
 
@@ -247,8 +257,7 @@ SWEEPS = {
     "mix": _Sweep(
         SweepConfig(kind="gaussian", d_grid=(64,), h_rule="theorem1",
                     c=0.1, eps=0.05, n_replicas=4096, max_steps=2000),
-        lambda cfg: [_cell(_mix_cell, cfg, d, i) for i, d in enumerate(cfg.d_grid)],
-        "mix.csv", " (lower-bound proxy, trend only)"),
+        _mix_cells, "mix.csv", " (lower-bound proxy, trend only)"),
 }
 
 

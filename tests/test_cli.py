@@ -279,6 +279,9 @@ class TestConfig:
         ("sweep-collapse", "n_mc=0", "n_mc"),
         ("sweep-gap", "h_grid=", "h_grid"),
         ("sweep-collapse", "eta=0.3", "0.3"), ("sweep-gap", "eta=0.25", "0.25"),
+        ("mix", "eps=2", "eps"), ("mix", "n_replicas=0", "n_replicas"),
+        ("mix", "max_steps=-1", "max_steps"), ("sweep-accept", "c=0", "step size"),
+        ("sweep-gap", "h_grid=-0.1", "-0.1"), ("mix", "c=-1", "step size"),
     ])
     def test_bad_value_exits_2_before_any_cell(self, tmp_path, monkeypatch, capsys,
                                                 command, setting, shown):

@@ -594,3 +594,101 @@ class TestMixingTime:
         with pytest.raises(ValueError):
             mixing_time_measure(p, 0.1, lambda n, rng: np.zeros((n, 2)), 1.5, 10,
                                 2048, seed=34)
+
+    def test_negative_max_steps_rejected(self):
+        # A negative budget used to return itself as a step count.
+        with pytest.raises(ValueError, match="max_steps"):
+            mixing_time_measure(gaussian(2), 0.1, lambda n, rng: np.ones((n, 2)), 0.05,
+                                -1, 2048, seed=34)
+
+    @pytest.mark.parametrize("reads, steps", [(0.0, 0), (1.0, 400)])
+    def test_a_patched_sliced_tv_decides_the_count(self, monkeypatch, reads, steps):
+        # Reading 0 mixes at the start check. Reading 1 never mixes, because
+        # the fast path can only rule mixing out; unpatched, this run mixes
+        # at step 3.
+        monkeypatch.setattr(dg, "sliced_tv_to_target", lambda samples, table: reads)
+        d = 8
+
+        def sampler(n, rng):
+            return math.sqrt(0.5) * rng.standard_normal((n, d))
+
+        assert mixing_time_measure(gaussian(d), 0.15, sampler, eps=0.05, max_steps=400,
+                                   n_replicas=2048, seed=35) == steps
+
+
+def _mixing_steps_reference(p, h, sampler, eps, max_steps, n_replicas, seed):
+    """mixing_time_measure with the full sliced TV computed at every step."""
+    table = kernels.cdf_table_for(p)
+    X = np.asarray(sampler(n_replicas, substream(seed, "mix-init")), dtype=float)
+    rng = substream(seed, "mix-steps")
+    for step in range(max_steps + 1):
+        if step:
+            X, _, _ = kernels.batch_mala_update(p, h, X, rng)
+        if sliced_tv_to_target(X, table) <= eps:
+            return step
+    return max_steps
+
+
+class TestMixedDecision:
+    @pytest.mark.parametrize("n, d", [(1000, 1), (1000, 5), (1001, 3), (1500, 8),
+                                      (4096, 64)])
+    def test_matches_the_full_sliced_tv(self, n, d):
+        table = kernels.cdf_table_for(gaussian(d))
+        rng = substream(36, "mixed-decision", n, d)
+        for scale in (0.95, 1.0, 1.05, 1.5):
+            X = scale * rng.standard_normal((n, d))
+            # One coordinate alone, then the last, carries the largest gap.
+            one_off = [X.copy(), X.copy()]
+            one_off[0][:, d // 2] += 0.2
+            one_off[1][:, -1] *= 1.3
+            for sample in (X, *one_off):
+                before = sample.copy()
+                full = sliced_tv_to_target(sample, table)
+                *_, upper, lower = dg._block_end_gaps(sample, slice(None), table)
+                gaps = np.concatenate((upper.ravel(), lower.ravel()))
+                # eps exactly at the full value, at block-end gaps (the largest,
+                # the first column's largest, a middle one) and around them.
+                first = max(upper[0].max(), lower[0].max())
+                for eps in (full, np.nextafter(full, 0.0), np.nextafter(full, 1.0),
+                            gaps.max(), first, np.median(gaps), 0.01, 0.05, 0.3):
+                    if 0.0 < eps < 1.0:
+                        assert dg._mixed(sample, table, eps) == (full <= eps)
+                assert np.array_equal(sample, before)
+
+    def test_a_nan_row_is_never_mixed(self):
+        table = kernels.cdf_table_for(gaussian(4))
+        X = substream(37, "mixed-nan").standard_normal((1001, 4))
+        for row in (0, 500, 1000):
+            Y = X.copy()
+            Y[row] = math.nan
+            for eps in (0.01, 0.5, 0.999):
+                assert not dg._mixed(Y, table, eps)
+                assert not sliced_tv_to_target(Y, table) <= eps
+
+    @pytest.mark.parametrize("start, h, eps, max_steps", [
+        ("warm-half", 0.15, 0.05, 400), ("origin", 0.15, 0.05, 400),
+        ("exact", 0.1, 0.05, 50), ("far", 1e-6, 0.01, 5),
+    ])
+    def test_count_matches_the_reference_loop(self, start, h, eps, max_steps):
+        d = 8
+        p = gaussian(d)
+        starts = {
+            "warm-half": lambda n, rng: math.sqrt(0.5) * rng.standard_normal((n, d)),
+            "origin": lambda n, rng: np.zeros((n, d)),
+            "exact": lambda n, rng: kernels.sample_separable_target(p, n, rng),
+            "far": lambda n, rng: np.full((n, d), 20.0),
+        }
+        drawn = []
+
+        def sampler(n, rng):
+            X0 = starts[start](n, rng)
+            drawn.append((X0, X0.copy()))
+            return X0
+
+        steps = mixing_time_measure(p, h, sampler, eps, max_steps, 2048, seed=38)
+        X0, kept = drawn[0]
+        assert np.array_equal(X0, kept)
+        assert steps == _mixing_steps_reference(p, h, sampler, eps, max_steps, 2048, 38)
+        assert steps == {"exact": 0, "far": max_steps}.get(start, steps)
+        if start in ("warm-half", "origin"):
+            assert 0 < steps < max_steps

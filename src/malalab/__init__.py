@@ -58,7 +58,6 @@ from .potentials import (
     Potential,
     RegularityReport,
     adversarial_cosine,
-    custom_separable,
     gaussian,
     verify_regularity,
 )

@@ -40,7 +40,7 @@ from typing import Callable, NoReturn, get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import diagnostics, kernels, verify
-from .potentials import Potential, adversarial_cosine, gaussian
+from .potentials import Potential, adversarial_cosine
 from .rng import substream
 
 SWEEP_HEADER = ("experiment", "d", "h", "eta", "estimator", "value",
@@ -106,11 +106,9 @@ def load_config(base: SweepConfig, path: str | None, sets: list[str]) -> SweepCo
 
 
 def target_for(cfg: SweepConfig, d: int) -> Potential:
-    if cfg.kind == "gaussian":
-        return gaussian(d)
     if cfg.kind == "adversarial":
         return adversarial_cosine(d, cfg.eta)
-    raise ValueError(f"unknown target kind {cfg.kind!r}")
+    return Potential(cfg.kind, d)  # the Gaussian; any other kind raises ValueError
 
 
 def step_size(cfg: SweepConfig, d: int, p: Potential) -> float:
@@ -205,14 +203,18 @@ def _mix_cell(cfg: SweepConfig, p: Potential, h: float, idx: int):
                 float(steps), 0.0, cfg.n_replicas)
 
 
-def _collapse_cells(cfg: SweepConfig):
-    # Cell 2i is the perturbed target at d_grid[i], 2i+1 its Gaussian companion.
-    pair = [replace(cfg, kind=kind) for kind in ("adversarial", "gaussian")]
-    return [_cell(_acceptance_cell, c, d, "collapse", 2 * i + j)
-            for i, d in enumerate(cfg.d_grid) for j, c in enumerate(pair)]
+def _acceptance_cells(cfg: SweepConfig, experiment: str, kinds: tuple[str, ...]):
+    if cfg.n_states < 2 or cfg.n_mc < 1:
+        raise ValueError("need n_states >= 2 and n_mc >= 1")
+    # Cell i·len(kinds) + j is the target of kinds[j] at d_grid[i].
+    return [_cell(_acceptance_cell, replace(cfg, kind=kind), d, experiment,
+                  i * len(kinds) + j)
+            for i, d in enumerate(cfg.d_grid) for j, kind in enumerate(kinds)]
 
 
 def _mix_cells(cfg: SweepConfig):
+    if cfg.start not in _STARTS:
+        raise ValueError(f"unknown start {cfg.start!r}")
     n_min = diagnostics._TV_MIN_ROWS
     if not 0.0 < cfg.eps < 1.0 or cfg.max_steps < 0 or cfg.n_replicas < n_min:
         raise ValueError(f"mix needs eps in (0, 1), max_steps >= 0 and n_replicas >= {n_min}")
@@ -220,8 +222,8 @@ def _mix_cells(cfg: SweepConfig):
 
 
 def _gap_cells(cfg: SweepConfig):
-    if not cfg.h_grid:
-        raise ValueError("sweep-gap requires a nonempty h_grid")
+    if not cfg.h_grid or cfg.n_states < 2:
+        raise ValueError("sweep-gap needs a nonempty h_grid and n_states >= 2")
     # Each h of h_grid is a fixed step.
     return [_cell(_gap_cell, replace(cfg, h_rule="fixed", c=h), d, i * len(cfg.h_grid) + j)
             for i, d in enumerate(cfg.d_grid) for j, h in enumerate(cfg.h_grid)]
@@ -242,14 +244,14 @@ SWEEPS = {
     "sweep-accept": _Sweep(
         SweepConfig(kind="gaussian", d_grid=tuple(2**k for k in range(6, 13)),
                     h_rule="power", c=0.5, p=-1.0 / 3.0),
-        lambda cfg: [_cell(_acceptance_cell, cfg, d, "accept", i)
-                     for i, d in enumerate(cfg.d_grid)],
-        "sweep_accept.csv"),
+        lambda cfg: _acceptance_cells(cfg, "accept", (cfg.kind,)), "sweep_accept.csv"),
     "sweep-collapse": _Sweep(
         SweepConfig(kind="adversarial", eta=0.2,
                     d_grid=tuple(2**k for k in range(8, 17)),
                     h_rule="power", c=1.0, p=-0.4, n_states=256, n_mc=64),
-        _collapse_cells, "sweep_collapse.csv"),
+        # Each perturbed target has a Gaussian companion at the same d.
+        lambda cfg: _acceptance_cells(cfg, "collapse", ("adversarial", "gaussian")),
+        "sweep_collapse.csv"),
     "sweep-gap": _Sweep(
         SweepConfig(kind="adversarial", eta=0.2, d_grid=(64,),
                     h_grid=(1e-3, 1e-2, 0.05, 0.1, 0.3, 0.5), n_states=100_000),
@@ -264,10 +266,6 @@ SWEEPS = {
 def cmd_sweep(args) -> int:
     sweep = SWEEPS[args.command]
     cfg = _config(args, sweep.defaults)
-    if cfg.start not in _STARTS:
-        _usage_error(f"unknown start {cfg.start!r}")
-    if cfg.n_states < 2 or cfg.n_mc < 1:
-        _usage_error("need n_states >= 2 and n_mc >= 1")
     try:  # building the cells resolves every target and step size
         cells = sweep.cells(cfg)
     except ValueError as exc:

@@ -64,7 +64,9 @@ def metropolize(Q, pi) -> FiniteChain:
     Off-diagonal entries are T[i, j] = min(pi_i·Q[i, j], pi_j·Q[j, i]) / pi_i
     (the min(1, ratio) rule written symmetrically so detailed balance holds
     to rounding); the diagonal absorbs the rejected mass. Zero proposal mass
-    stays zero even when the reverse mass is positive.
+    stays zero even when the reverse mass is positive. Detailed balance and
+    stationarity are measured, not asserted: ``verify``'s finite-chain rows
+    and ``finite-selftest`` report them.
     """
     Q = np.asarray(Q, dtype=float)
     pi = np.asarray(pi, dtype=float)
@@ -76,21 +78,7 @@ def metropolize(Q, pi) -> FiniteChain:
     T = flow / pi[:, None]
     np.fill_diagonal(T, 0.0)
     np.fill_diagonal(T, np.maximum(0.0, 1.0 - T.sum(axis=1)))
-    chain = FiniteChain(pi=pi, Q=Q, T=T)
-    assert_chain_invariants(chain)
-    return chain
-
-
-def assert_chain_invariants(c: FiniteChain):
-    """Raise unless rows sum to 1, detailed balance and stationarity hold to EXACT_TOL."""
-    row_err = float(np.max(np.abs(c.T.sum(axis=1) - 1.0)))
-    db_err = detailed_balance_error(c.T, c.pi)
-    stat_err = float(np.max(np.abs(c.pi @ c.T - c.pi)))
-    if max(row_err, db_err, stat_err) > EXACT_TOL:
-        raise ValueError(
-            f"chain invariants violated: rows {row_err:.2e}, "
-            f"detailed balance {db_err:.2e}, stationarity {stat_err:.2e}"
-        )
+    return FiniteChain(pi=pi, Q=Q, T=T)
 
 
 def detailed_balance_error(T, pi) -> float:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracle1d
-from .potentials import CUSTOM, Potential
+from .potentials import Potential
 from .rng import substream
 
 MALA = "mala"
@@ -354,16 +354,13 @@ _TABLE_CACHE: dict[tuple, oracle1d.CDFTable] = {}
 def cdf_table_for(p: Potential) -> oracle1d.CDFTable:
     """Inverse-CDF table of the target's 1-D marginal.
 
-    Built-in targets are cached on (kind, alpha, w, amp), all the table reads;
-    custom ones are not, as equal fields can hold different profiles.
-    Concurrent builders of one table all get the first one stored.
+    Tables are cached on (kind, w, amp), all the table reads (alpha follows
+    the kind). Concurrent builders of one table all get the first one stored.
     """
-    key = (p.kind, p.alpha, p.w, p.amp)
+    key = (p.kind, p.w, p.amp)
     table = _TABLE_CACHE.get(key)
     if table is None:
-        table = oracle1d.inverse_cdf_table(p)
-        if p.kind != CUSTOM:
-            table = _TABLE_CACHE.setdefault(key, table)
+        table = _TABLE_CACHE.setdefault(key, oracle1d.inverse_cdf_table(p))
     return table
 
 

@@ -48,7 +48,7 @@ N_GRID = 8193
 def _radius(p: Potential, tol: float) -> float:
     """Radius R = max(10, 10/sqrt(alpha)) of the integration domain [−R, R].
 
-    Profiles are symmetric with a minimum at 0 per the package contract, so
+    Both kinds of target have a symmetric profile with its minimum at 0, so
     v(t) >= v(0) + alpha·t²/2 bounds the mass beyond ±R by
     e^offset·sqrt(2π/alpha)·erfc(R·sqrt(alpha/2)), offset = max(0, −v(0));
     that bound must be at most ``tol``.

@@ -1,7 +1,7 @@
 """Target potentials for the sampling laboratory.
 
 Every target is a distribution pi ∝ exp(-V) on R^d whose potential V carries
-certified curvature bounds alpha·I ⪯ V'' ⪯ beta·I. Built-in families:
+certified curvature bounds alpha·I ⪯ V'' ⪯ beta·I. There are two kinds:
 
 * ``gaussian(d)`` — standard Gaussian, V(x) = ||x||²/2, alpha = beta = 1.
 * ``adversarial_cosine(d, eta)`` — cosine-perturbed Gaussian,
@@ -11,9 +11,9 @@ certified curvature bounds alpha·I ⪯ V'' ⪯ beta·I. Built-in families:
   with eta in the open interval (0, 1/4). The 1-D profile has curvature
   v''(t) = 1 + cos(d^eta·t)/2, so the potential is exactly 1/2-strongly
   convex and 3/2-smooth for every admissible eta.
-* ``custom_separable(d, v, dv, curvature_range)`` — caller-supplied 1-D
-  profile applied coordinate-wise. The curvature range is the caller's
-  claim; it is only checked numerically by :func:`verify_regularity`.
+
+A ``Potential`` is fixed by ``(kind, d, eta)``; alpha and beta follow from
+the kind, and :func:`verify_regularity` probes them numerically.
 
 Potentials are deliberately NOT shifted to V(0) = 0: every consumer in this
 package (acceptance ratios, quadrature weights, diagnostics) uses potential
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -35,41 +34,43 @@ from .rng import substream
 
 GAUSSIAN = "gaussian"
 ADVERSARIAL = "adversarial"
-CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
 class Potential:
-    """Immutable description of a target pi ∝ exp(-V).
+    """Immutable description of a target pi ∝ exp(-V), fixed by (kind, d, eta).
 
     ``alpha`` and ``beta`` are the certified strong-convexity and smoothness
-    constants of V; for ``custom`` kinds they are the caller's claim. Every
-    kind is separable, V(x) = Σ_i v(x_i), with the 1-D profile defined once
-    and exposed through :meth:`profile_value` / :meth:`profile_grad`.
+    constants of V, set from the kind. Both kinds are separable,
+    V(x) = Σ_i v(x_i), with the 1-D profile defined once and exposed through
+    :meth:`profile_value` / :meth:`profile_grad`.
     """
 
     kind: str
     d: int
-    alpha: float
-    beta: float
     eta: float | None = None
-    _profile_v: Callable | None = field(default=None, repr=False, compare=False)
-    _profile_dv: Callable | None = field(default=None, repr=False, compare=False)
-    # The perturbed target's w = d^eta and amp = 1/(2 d^{2·eta}), set once in
-    # __post_init__; evaluations and oracles read them, never recompute them.
+    # Set once in __post_init__ from the kind; the perturbed target's
+    # w = d^eta and amp = 1/(2 d^{2·eta}) are read, never recomputed.
+    alpha: float = field(init=False, compare=False)
+    beta: float = field(init=False, compare=False)
     w: float | None = field(init=False, default=None, repr=False, compare=False)
     amp: float | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 1:
             raise ValueError(f"dimension must be a positive integer, got {self.d}")
-        if not (0 < self.alpha <= self.beta):
-            raise ValueError(
-                f"need 0 < alpha <= beta, got alpha={self.alpha}, beta={self.beta}"
-            )
-        if self.kind == ADVERSARIAL:
+        if self.kind == GAUSSIAN:
+            alpha, beta = 1.0, 1.0
+        elif self.kind == ADVERSARIAL:
+            if self.eta is None or not 0.0 < self.eta < 0.25:
+                raise ValueError(f"eta must lie in the open interval (0, 1/4), got {self.eta}")
+            alpha, beta = 0.5, 1.5
             object.__setattr__(self, "w", self.d**self.eta)
             object.__setattr__(self, "amp", 0.5 * self.d ** (-2.0 * self.eta))
+        else:
+            raise ValueError(f"unknown target kind {self.kind!r}")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
     # -- evaluation -------------------------------------------------------
 
@@ -87,14 +88,12 @@ class Potential:
     def _dv(self, t: np.ndarray) -> np.ndarray:
         if self.kind == GAUSSIAN:
             return t.copy()
-        if self.kind == ADVERSARIAL:
-            return t + np.sin(self.w * t) / (2.0 * self.w)
-        return np.asarray(self._profile_dv(t), dtype=float)
+        return t + np.sin(self.w * t) / (2.0 * self.w)
 
     def _one_point(self, x) -> float | None:
-        """The float in a (1,) float64 array at a built-in d = 1 target, else None."""
+        """The float in a (1,) float64 array at d = 1, else None."""
         if (type(x) is np.ndarray and x.shape == (1,) and self.d == 1
-                and x.dtype == np.float64 and self.kind in (GAUSSIAN, ADVERSARIAL)):
+                and x.dtype == np.float64):
             if not math.isfinite(t := x.item()):
                 raise ValueError("input contains non-finite entries")
             return t
@@ -103,9 +102,9 @@ class Potential:
     def value(self, x) -> float | np.ndarray:
         """V(x). Accepts a single point (d,) or a batch (..., d).
 
-        A (1,) float64 point of a built-in d = 1 target is evaluated on floats,
-        bit for bit the array path (libm cos); overflow there gives inf even
-        under ``np.errstate(over="raise")``.
+        A (1,) float64 point at d = 1 is evaluated on floats, bit for bit the
+        array path (libm cos); overflow there gives inf even under
+        ``np.errstate(over="raise")``.
         """
         if (t := self._one_point(x)) is not None:
             v = 0.5 * (t * t)
@@ -113,12 +112,9 @@ class Potential:
         x = self._check_input(x)
         # Sum, then scale by amp: the profile form Σ_i v(x_i) rounds
         # differently and would move verify's density-oracle row.
-        if self.kind == GAUSSIAN:
-            out = 0.5 * (x * x).sum(axis=-1)
-        elif self.kind == ADVERSARIAL:
-            out = 0.5 * (x * x).sum(axis=-1) - self.amp * np.cos(self.w * x).sum(axis=-1)
-        else:
-            out = np.sum(self.profile_value(x), axis=-1)
+        out = 0.5 * (x * x).sum(axis=-1)
+        if self.kind == ADVERSARIAL:
+            out = out - self.amp * np.cos(self.w * x).sum(axis=-1)
         return float(out) if out.ndim == 0 else out
 
     def grad(self, x) -> np.ndarray:
@@ -139,9 +135,7 @@ class Potential:
         t = np.asarray(t, dtype=float)
         if self.kind == GAUSSIAN:
             return 0.5 * t**2
-        if self.kind == ADVERSARIAL:
-            return 0.5 * t * t - self.amp * np.cos(self.w * t)
-        return np.asarray(self._profile_v(t), dtype=float)
+        return 0.5 * t * t - self.amp * np.cos(self.w * t)
 
     def profile_grad(self, t):
         """Derivative v' of the 1-D profile."""
@@ -150,42 +144,17 @@ class Potential:
 
 def gaussian(d: int) -> Potential:
     """Standard Gaussian target on R^d."""
-    return Potential(kind=GAUSSIAN, d=d, alpha=1.0, beta=1.0)
+    return Potential(GAUSSIAN, d)
 
 
 def adversarial_cosine(d: int, eta: float) -> Potential:
     """Cosine-perturbed Gaussian target; eta must lie in the open (0, 1/4)."""
-    if not 0.0 < eta < 0.25:
-        raise ValueError(f"eta must lie in the open interval (0, 1/4), got {eta}")
-    return Potential(kind=ADVERSARIAL, d=d, alpha=0.5, beta=1.5, eta=float(eta))
-
-
-def custom_separable(
-    d: int,
-    v: Callable,
-    dv: Callable,
-    curvature_range: tuple[float, float],
-) -> Potential:
-    """Separable target from a caller-supplied vectorized 1-D profile.
-
-    ``v`` and ``dv`` must accept numpy arrays elementwise. ``curvature_range``
-    = (a, b) is the caller's claim that a <= v'' <= b; it is trusted by every
-    consumer and only checked by :func:`verify_regularity`.
-    """
-    a, b = curvature_range
-    return Potential(
-        kind=CUSTOM,
-        d=d,
-        alpha=float(a),
-        beta=float(b),
-        _profile_v=v,
-        _profile_dv=dv,
-    )
+    return Potential(ADVERSARIAL, d, float(eta))
 
 
 @dataclass(frozen=True)
 class RegularityReport:
-    """Outcome of numerically probing the claimed curvature bounds."""
+    """Outcome of numerically probing the certified curvature bounds."""
 
     n_probes: int
     alpha: float
@@ -203,7 +172,7 @@ class RegularityReport:
 
 
 def verify_regularity(p: Potential, n_probes: int, seed) -> RegularityReport:
-    """Probe directional second differences against the claimed (alpha, beta).
+    """Probe directional second differences against the certified (alpha, beta).
 
     Draws random points x = r·u with log-uniform radius r and uniform unit
     direction u (so the origin's neighborhood is probed), and checks that

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from malalab import cli, verify
+from malalab import cli, finite_chain, verify
 from malalab.cli import SweepConfig, load_config, main, step_size, target_for
 from malalab.potentials import adversarial_cosine, gaussian
 
@@ -37,6 +37,26 @@ class TestVerifyCommand:
         failing = [r[0] for r in read_rows(out)[1:] if r[4] == "false"]
         assert failing
         assert all(name.startswith("log_accept") for name in failing)
+
+    def test_a_detailed_balance_fault_fails_its_rows(self, tmp_path, monkeypatch, capsys):
+        # metropolize hands its chain on unchecked, so the rows report a fault
+        # in it. Moving 5e-11 of mass from T[0, 0] to T[0, 1] breaks detailed
+        # balance above the rows' 1e-12 and stays below the 1e-10 to which
+        # projection_check requires a reversible Qbar.
+        chain = finite_chain.FiniteChain
+
+        def faulty(pi, Q, T):
+            T = T.copy()
+            T[0, 1] += 5e-11
+            T[0, 0] -= 5e-11
+            return chain(pi=pi, Q=Q, T=T)
+
+        monkeypatch.setattr(finite_chain, "FiniteChain", faulty)
+        out = tmp_path / "verify.csv"
+        assert main(["verify", "--seed", "0", "--out", str(out)]) == 1
+        failing = {r[0] for r in read_rows(out)[1:] if r[4] == "false"}
+        assert {"finite_detailed_balance", "finite_stationarity"} <= failing
+        assert "FAIL finite_detailed_balance" in capsys.readouterr().out
 
 
 def test_check_result_fails_on_a_nan_or_a_violation():
@@ -298,6 +318,18 @@ class TestConfig:
         assert captured.out == ""
         [line] = captured.err.splitlines()
         assert line.startswith("malalab: ") and shown in line
+
+    @pytest.mark.parametrize("command, settings", [
+        ("mix", ["n_states=1", "max_steps=5"]),
+        ("sweep-gap", ["n_mc=0", "h_grid=0.1", "n_states=100"]),
+        ("sweep-accept", ["start=bogus", "n_states=10", "n_mc=10"]),
+    ])
+    def test_a_value_the_command_does_not_read_is_not_checked(self, tmp_path, command,
+                                                             settings):
+        argv = [command, "--set", "d_grid=16", "--out", str(tmp_path / "x.csv")]
+        for setting in settings:
+            argv += ["--set", setting]
+        assert main(argv) == 0
 
     def test_seed_spellings_that_int_accepts_still_work(self, tmp_path, monkeypatch):
         monkeypatch.delenv("SEED", raising=False)

@@ -22,7 +22,7 @@ from malalab.kernels import (
     ula_step,
 )
 from malalab.oracle1d import quad_expectation
-from malalab.potentials import Potential, adversarial_cosine, custom_separable, gaussian
+from malalab.potentials import Potential, adversarial_cosine, gaussian
 from malalab.rng import substream
 
 
@@ -503,17 +503,6 @@ class TestTableCache:
         assert (kernels.cdf_table_for(adversarial_cosine(64, 0.2))
                 is not kernels.cdf_table_for(adversarial_cosine(4096, 0.2)))
         assert len(kernels._TABLE_CACHE) == 3
-
-    def test_custom_targets_with_equal_fields_get_their_own_tables(self):
-        # Equal (d, alpha, beta), so equal Potentials, but different profiles:
-        # N(0, 1) and N(0, 1/2) marginals.
-        a = custom_separable(1, lambda t: 0.5 * t * t, lambda t: t, (1.0, 2.0))
-        b = custom_separable(1, lambda t: t * t, lambda t: 2.0 * t, (1.0, 2.0))
-        assert a == b
-        q_a, q_b = kernels.cdf_table_for(a).inverse(0.9), kernels.cdf_table_for(b).inverse(0.9)
-        assert q_a == pytest.approx(stats.norm.ppf(0.9), abs=1e-6)
-        assert q_b == pytest.approx(stats.norm.ppf(0.9) / math.sqrt(2.0), abs=1e-6)
-        assert kernels._TABLE_CACHE == {}
 
     def test_concurrent_builders_share_one_table(self):
         p, n_threads = gaussian(5), 4

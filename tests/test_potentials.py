@@ -6,9 +6,11 @@ import pytest
 
 from malalab import potentials
 from malalab.potentials import (
+    ADVERSARIAL,
+    GAUSSIAN,
+    Potential,
     RegularityReport,
     adversarial_cosine,
-    custom_separable,
     gaussian,
     verify_regularity,
 )
@@ -44,9 +46,8 @@ def test_adversarial_value_and_gradient_at_origin():
         gaussian(4),
         adversarial_cosine(4, 0.2),
         adversarial_cosine(7, 0.195),
-        custom_separable(3, lambda t: np.cosh(t), lambda t: np.sinh(t), (0.1, 30.0)),
     ],
-    ids=["gaussian", "adversarial", "adversarial-preset", "custom"],
+    ids=["gaussian", "adversarial", "adversarial-preset"],
 )
 def test_gradient_matches_finite_differences(p):
     rng = np.random.default_rng(3)
@@ -98,8 +99,28 @@ def test_convexity_bounds():
     assert (gaussian(3).alpha, gaussian(3).beta) == (1.0, 1.0)
     p = adversarial_cosine(3, 0.2)
     assert (p.alpha, p.beta) == (0.5, 1.5)
-    p = custom_separable(3, lambda t: t**2, lambda t: 2 * t, (1.7, 2.3))
-    assert (p.alpha, p.beta) == (1.7, 2.3)
+
+
+def test_alpha_beta_follow_the_kind_under_replace():
+    p = dataclasses.replace(gaussian(8), kind=ADVERSARIAL, eta=0.2)
+    assert (p.alpha, p.beta) == (0.5, 1.5) and p == adversarial_cosine(8, 0.2)
+    q = dataclasses.replace(p, kind=GAUSSIAN, eta=None)
+    assert (q.alpha, q.beta) == (1.0, 1.0) and q == gaussian(8)
+    assert (q.w, q.amp) == (None, None)
+
+
+def test_settable_fields_are_kind_d_and_eta():
+    assert [f.name for f in dataclasses.fields(Potential) if f.init] == ["kind", "d", "eta"]
+    with pytest.raises(TypeError):
+        Potential(GAUSSIAN, 3, alpha=2.0)
+
+
+def test_unknown_kind_raises():
+    for kind in ("banana", "custom", "Gaussian"):
+        with pytest.raises(ValueError, match="unknown target kind"):
+            Potential(kind, 3)
+    with pytest.raises(ValueError, match="unknown target kind"):
+        dataclasses.replace(gaussian(3), kind="banana")
 
 
 def test_verify_regularity_gaussian():
@@ -116,18 +137,21 @@ def test_verify_regularity_adversarial():
     assert report.max_curvature <= 1.5 + 1e-3
 
 
-def test_verify_regularity_flags_quartic():
-    p = custom_separable(1, lambda t: t**4, lambda t: 4 * t**3, (0.5, 200.0))
+def test_verify_regularity_flags_quartic(monkeypatch):
+    # A quartic V = t⁴ has curvature 12t², below alpha = 0.5 near the origin.
+    p = adversarial_cosine(1, 0.2)
+    monkeypatch.setattr(potentials.Potential, "value", lambda self, x: float(x[0] ** 4))
     report = verify_regularity(p, 500, seed=9)
     assert not report.passed
     assert report.n_below_alpha > 0
     assert report.min_curvature < 0.5 - 1e-3
 
 
-def test_verify_regularity_fails_on_a_nan_probe():
+def test_verify_regularity_fails_on_a_nan_probe(monkeypatch):
     # V is NaN beyond |t| = 1, and a NaN curvature is neither below nor above.
-    p = custom_separable(1, lambda t: np.where(np.abs(t) < 1.0, 0.5 * t * t, np.nan),
-                         lambda t: t, (0.9, 1.1))
+    p = adversarial_cosine(1, 0.2)
+    monkeypatch.setattr(potentials.Potential, "value",
+                        lambda self, x: 0.5 * x[0] * x[0] if abs(x[0]) < 1.0 else math.nan)
     report = verify_regularity(p, 200, seed=9)
     assert report.n_below_alpha == report.n_above_beta == 0
     assert not report.passed
@@ -151,9 +175,13 @@ def test_eta_range_is_open():
         adversarial_cosine(8, eta)
 
 
-def test_alpha_beta_ordering_enforced():
-    with pytest.raises(ValueError):
-        custom_separable(2, lambda t: t**2, lambda t: 2 * t, (2.0, 1.0))
+def test_replace_with_a_bad_eta_raises():
+    p = adversarial_cosine(8, 0.2)
+    for bad in (0.3, 0.0, 0.25, math.nan, None):
+        with pytest.raises(ValueError, match="open interval"):
+            dataclasses.replace(p, eta=bad)
+    with pytest.raises(ValueError, match="open interval"):
+        dataclasses.replace(gaussian(8), kind=ADVERSARIAL)
 
 
 def test_dimension_mismatch_raises():
@@ -167,9 +195,7 @@ def test_dimension_mismatch_raises():
     bad_points = [np.array([bad]) for bad in (np.nan, np.inf, -np.inf)]
     bad_points += [np.array(0.5), np.zeros(2)]
     for d, inputs in ((4, bad_inputs), (1, bad_points)):
-        kinds = [gaussian(d), adversarial_cosine(d, 0.2),
-                 custom_separable(d, np.cosh, np.sinh, (1.0, 30.0))]
-        for p in kinds:
+        for p in (gaussian(d), adversarial_cosine(d, 0.2)):
             for method in (p.value, p.grad, p.value_and_grad):
                 for x in inputs:
                     with pytest.raises(ValueError):
@@ -188,9 +214,8 @@ def test_value_and_grad_delegates(monkeypatch):
 
 @pytest.mark.parametrize(
     "p",
-    [gaussian(5), adversarial_cosine(5, 0.2),
-     custom_separable(5, np.cosh, np.sinh, (1.0, 30.0))],
-    ids=["gaussian", "adversarial", "custom"],
+    [gaussian(5), adversarial_cosine(5, 0.2)],
+    ids=["gaussian", "adversarial"],
 )
 def test_value_and_grad_equals_separate_calls_bitwise(p):
     rng = np.random.default_rng(7)
@@ -207,9 +232,8 @@ def test_value_and_grad_equals_separate_calls_bitwise(p):
 
 @pytest.mark.parametrize(
     "p",
-    [gaussian(5), adversarial_cosine(5, 0.2), adversarial_cosine(4096, 0.195),
-     custom_separable(5, np.cosh, np.sinh, (1.0, 30.0))],
-    ids=["gaussian", "adversarial", "adversarial-4096", "custom"],
+    [gaussian(5), adversarial_cosine(5, 0.2), adversarial_cosine(4096, 0.195)],
+    ids=["gaussian", "adversarial", "adversarial-4096"],
 )
 def test_grad_is_the_profile_derivative_bitwise(p):
     # ∇V and v' are one definition: grad applies v' coordinate-wise.
@@ -299,21 +323,3 @@ class TestOnePointBranch:
             p.value(x)
             p.grad(x)
         assert len(checked) == 2 * len(others)
-
-    def test_custom_target_calls_its_own_profile(self):
-        calls = []
-
-        def v(t):
-            calls.append("v")
-            return np.cosh(t)
-
-        def dv(t):
-            calls.append("dv")
-            return np.sinh(t)
-
-        p = custom_separable(1, v, dv, (1.0, 30.0))
-        x = np.array([0.5])
-        value, grad = p.value(x), p.grad(x)
-        assert calls == ["v", "dv"]
-        assert np.float64(value).tobytes() == p.value(x[None]).tobytes()
-        assert grad.tobytes() == p.grad(x[None]).tobytes()

@@ -6,7 +6,7 @@ verify          run the oracle + kernel + finite-chain verification suite
 sweep-accept    mean acceptance across a dimension grid (Gaussian default)
 sweep-collapse  adversarial acceptance collapse with Gaussian companion rows
 sweep-gap       Dirichlet-form spectral-gap upper estimates over an h grid
-mix             sliced-TV mixing-step counts (lower-bound proxy, trend only)
+mix             steps until the replicas' sliced TV is <= eps (trend only)
 finite-selftest per-instance exact finite-chain report
 
 Configuration is a plain-text key=value file (``--config``), overridable
@@ -21,8 +21,10 @@ Sweep CSV header (stable): ``experiment,d,h,eta,estimator,value,std_error,n,seed
 The theorem1 step-size rule is h = c·alpha^{1/2} / (beta^{4/3}·d^{1/2}·
 log(d·kappa·M0/eps)); its constant c (default 0.1) and the acceptance-floor
 constant c0 = 0.5 used by sweep-accept are calibration choices, not derived
-values. Mixing counts are lower bounds on the TV mixing time because the
-sliced proxy lower-bounds TV; rows are labeled accordingly.
+values. A mixing count is the first step at which the replicas' sliced TV,
+its finite-sample noise floor included, is at most eps; it is not a lower
+bound on the TV mixing time, although the rows keep the pinned label
+``sliced_tv_mixing_steps_lower_bound``.
 """
 
 from __future__ import annotations
@@ -259,6 +261,7 @@ SWEEPS = {
     "mix": _Sweep(
         SweepConfig(kind="gaussian", d_grid=(64,), h_rule="theorem1",
                     c=0.1, eps=0.05, n_replicas=4096, max_steps=2000),
+        # The note is stale (see mixing_time_measure), but tools/golden_outputs.md5 pins it.
         _mix_cells, "mix.csv", " (lower-bound proxy, trend only)"),
 }
 

@@ -22,8 +22,10 @@ asserted with a 3-SE margin; estimators derive their own RNG substreams
 from the given seed and reduce results in a fixed order, so they are
 deterministic and safe to parallelize externally.
 
-The sliced-TV proxy lower-bounds the full total variation in R^d, so
-measured mixing times are lower bounds on the true TV mixing time; mean
+The sliced TV of a law lower-bounds its full total variation in R^d, but an
+ensemble's estimate adds a finite-sample noise floor, so a measured mixing
+count is the first step at which the estimate, floor included, is at most
+eps, not a lower bound on the TV mixing time; mean
 acceptance restricted to the typical-set event estimates an average over
 finitely many sampled states, never a supremum over the event.
 """
@@ -314,9 +316,11 @@ def _block_end_gaps(X: np.ndarray, cols: slice, table: oracle1d.CDFTable):
 def sliced_tv_to_target(samples, table: oracle1d.CDFTable) -> float:
     """Max over coordinates of the empirical-CDF sup distance to the marginal.
 
-    A lower bound on the full d-dimensional TV distance to the product
-    target; requires at least ``_TV_MIN_ROWS`` samples so the empirical CDF
-    is meaningful.
+    The sliced TV of a law lower-bounds its full d-dimensional TV distance
+    to the product target, but this estimate from n samples carries a noise
+    floor (for exact draws, the maximum of d one-sample KS statistics), so
+    it does not lower-bound the TV of the samples' law. Requires at least
+    ``_TV_MIN_ROWS`` samples.
 
     The CDF is evaluated only where the maximum can be. Each coordinate's
     sorted samples x_1 <= ... <= x_n fall into blocks of ``_TV_BLOCK``; F is
@@ -370,13 +374,14 @@ def mixing_time_measure(
     n_replicas: int,
     seed,
 ) -> int:
-    """First step at which the replica ensemble's sliced TV drops below eps.
+    """First step at which the replica ensemble's sliced TV is at most eps.
 
     Runs ``n_replicas`` independent MALA chains from ``x0_sampler(n, rng)``
     in lockstep and evaluates the sliced-TV proxy against the exact marginal
     after every step. Returns ``max_steps`` as a sentinel when the threshold
-    is never reached. Because the proxy lower-bounds the full TV, the
-    returned count is a lower bound on the TV mixing time.
+    is never reached. The ensemble's sliced TV includes its finite-sample
+    noise floor, so the count is not a lower bound on the TV mixing time;
+    only the sliced TV of the law itself lower-bounds the law's TV.
 
     Each step's test first sorts a few coordinates and compares their
     block-end gaps with eps. That fast path only rules mixing out: a step is

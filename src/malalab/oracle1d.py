@@ -245,7 +245,6 @@ class CDFTable:
             raise ConsistencyError("CDF endpoints violate the tail tolerance")
         self.grid = grid
         self.cdf = cdf
-        self.tol = tol
         # Strictly increasing subsequence for the inverse; ties can only
         # occur where the density underflows in the far tails.
         keep = np.concatenate(([True], np.diff(cdf) > 0))

@@ -13,7 +13,7 @@ certified curvature bounds alpha·I ⪯ V'' ⪯ beta·I. There are two kinds:
   convex and 3/2-smooth for every admissible eta.
 
 A ``Potential`` is fixed by ``(kind, d, eta)``; alpha and beta follow from
-the kind, and :func:`verify_regularity` probes them numerically.
+the kind, and the Gaussian takes no eta.
 
 Potentials are deliberately NOT shifted to V(0) = 0: every consumer in this
 package (acceptance ratios, quadrature weights, diagnostics) uses potential
@@ -29,8 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .rng import substream
 
 GAUSSIAN = "gaussian"
 ADVERSARIAL = "adversarial"
@@ -60,6 +58,8 @@ class Potential:
         if self.d < 1:
             raise ValueError(f"dimension must be a positive integer, got {self.d}")
         if self.kind == GAUSSIAN:
+            if self.eta is not None:
+                raise ValueError(f"the Gaussian target takes no eta, got {self.eta}")
             alpha, beta = 1.0, 1.0
         elif self.kind == ADVERSARIAL:
             if self.eta is None or not 0.0 < self.eta < 0.25:
@@ -150,62 +150,3 @@ def gaussian(d: int) -> Potential:
 def adversarial_cosine(d: int, eta: float) -> Potential:
     """Cosine-perturbed Gaussian target; eta must lie in the open (0, 1/4)."""
     return Potential(ADVERSARIAL, d, float(eta))
-
-
-@dataclass(frozen=True)
-class RegularityReport:
-    """Outcome of numerically probing the certified curvature bounds."""
-
-    n_probes: int
-    alpha: float
-    beta: float
-    min_curvature: float
-    max_curvature: float
-    n_below_alpha: int
-    n_above_beta: int
-
-    @property
-    def passed(self) -> bool:
-        """No probe below alpha, above beta or NaN (a NaN is in min and max)."""
-        return (self.n_below_alpha == 0 and self.n_above_beta == 0
-                and not np.isnan([self.min_curvature, self.max_curvature]).any())
-
-
-def verify_regularity(p: Potential, n_probes: int, seed) -> RegularityReport:
-    """Probe directional second differences against the certified (alpha, beta).
-
-    Draws random points x = r·u with log-uniform radius r and uniform unit
-    direction u (so the origin's neighborhood is probed), and checks that
-
-        (V(x + eps·u') − 2 V(x) + V(x − eps·u')) / eps²
-
-    lies in [alpha − tol, beta + tol] for a fresh unit direction u', with
-    eps = tol = 1e-3. Failures are reported, not raised.
-    """
-    eps = tol = 1e-3
-    if n_probes < 1:
-        raise ValueError("n_probes must be >= 1")
-    rng = substream(seed, "verify-regularity")
-    curvs = np.empty(n_probes)
-    for i in range(n_probes):
-        u = rng.standard_normal(p.d)
-        u /= np.linalg.norm(u)
-        r = np.exp(rng.uniform(np.log(1e-3), np.log(4.0)))
-        x = r * u
-        w = rng.standard_normal(p.d)
-        w /= np.linalg.norm(w)
-        vp = p.value(x + eps * w)
-        v0 = p.value(x)
-        vm = p.value(x - eps * w)
-        curvs[i] = (vp - 2.0 * v0 + vm) / (eps * eps)
-    n_below = int(np.sum(curvs < p.alpha - tol))
-    n_above = int(np.sum(curvs > p.beta + tol))
-    return RegularityReport(
-        n_probes=n_probes,
-        alpha=p.alpha,
-        beta=p.beta,
-        min_curvature=float(curvs.min()),
-        max_curvature=float(curvs.max()),
-        n_below_alpha=n_below,
-        n_above_beta=n_above,
-    )

@@ -31,13 +31,6 @@ def _key_part(part) -> int:
     raise TypeError(f"stream path parts must be ints or strings, got {part!r}")
 
 
-def seed_sequence(seed: int, *path) -> np.random.SeedSequence:
-    """SeedSequence for the stream named by ``path`` under master ``seed``."""
-    return np.random.SeedSequence(
-        entropy=int(seed), spawn_key=tuple(_key_part(p) for p in path)
-    )
-
-
 def substream(seed: RandomState, *path) -> np.random.Generator:
     """Generator for the stream named by ``path`` under master ``seed``.
 
@@ -53,4 +46,5 @@ def substream(seed: RandomState, *path) -> np.random.Generator:
     """
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(seed_sequence(seed, *path))
+    return np.random.default_rng(np.random.SeedSequence(
+        entropy=int(seed), spawn_key=tuple(_key_part(p) for p in path)))

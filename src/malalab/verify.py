@@ -306,7 +306,10 @@ def _projection_excess(rng) -> tuple[float, float]:
     pi_r, q_r, qbar_r = finite_chain.random_projection_triple(
         int(rng.integers(2, 9)), rng
     )
-    rep = finite_chain.projection_check(q_r, qbar_r, pi_r)
+    try:
+        rep = finite_chain.projection_check(q_r, qbar_r, pi_r)
+    except ValueError:  # a faulty metropolize left Qbar irreversible
+        return math.inf, math.inf
     return rep.global_lhs - rep.global_rhs, float(np.max(rep.state_lhs - rep.state_rhs))
 
 

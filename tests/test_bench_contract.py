@@ -1,12 +1,15 @@
-"""The benchmark's fault injection still reaches the program it patches.
+"""The benchmark's fault injection and tracer still reach the program.
 
 ``bench/selftest.py`` patches named functions of malalab with wrappers that
 call them with fixed argument lists. A refactor that renames one of them or
 changes its parameters breaks the selftest only when it runs (about 90 s);
 these checks find that in well under a second. Importing the selftest runs
-nothing.
+nothing. ``bench/spans.py`` reads its per-layer metrics from spans by name,
+and a name that no longer resolves reads 0 without any error.
 """
 
+import ast
+import importlib
 import importlib.util
 import inspect
 import sys
@@ -15,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from malalab import cli, diagnostics, kernels, verify
+from malalab.oracle1d import CDFTable
 from malalab.potentials import Potential
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -57,3 +61,37 @@ def test_every_patched_attribute_resolves(selftest):
 def test_patched_callables_bind_the_arguments_their_patches_pass(fn, args, kwargs):
     inspect.signature(fn).bind(*args, **kwargs)
 
+
+def _span_names():
+    """The span names ``layer_metrics`` reads: its incl/own/calls keys and QUADRATURE."""
+    tree = ast.parse((BENCH / "spans.py").read_text(encoding="utf-8"))
+    names = {node.slice.value for node in ast.walk(tree)
+             if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+             and node.value.id in ("incl", "own", "calls")
+             and isinstance(node.slice, ast.Constant)}
+    quadrature = next(node.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                      and [t.id for t in node.targets] == ["QUADRATURE"])
+    names |= {const.value for const in ast.walk(quadrature) if isinstance(const, ast.Constant)}
+    return sorted(names)
+
+
+def test_the_tracer_reads_26_span_names():
+    # Guards the parse above: a name it misses is a case never collected.
+    assert len(_span_names()) == 26
+
+
+@pytest.mark.parametrize("name", _span_names())
+def test_every_span_name_the_tracer_reads_resolves(name):
+    # The tracer wraps a module's own public functions under "module.name",
+    # Potential's methods under "potentials.name" and CDFTable's under
+    # "oracle1d.CDFTable.name".
+    module, _, attr = name.partition(".")
+    if module == "potentials":
+        owner = Potential
+    elif attr.startswith("CDFTable."):
+        owner, attr = CDFTable, attr.removeprefix("CDFTable.")
+    else:
+        owner = importlib.import_module(f"malalab.{module}")
+    fn = vars(owner).get(attr)
+    assert callable(fn) and not attr.startswith("_"), name
+    assert fn.__module__ == f"malalab.{module}", name

@@ -38,17 +38,19 @@ class TestVerifyCommand:
         assert failing
         assert all(name.startswith("log_accept") for name in failing)
 
-    def test_a_detailed_balance_fault_fails_its_rows(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("fault", [5e-11, 1e-9])
+    def test_a_detailed_balance_fault_fails_its_rows(self, fault, tmp_path, monkeypatch,
+                                                     capsys):
         # metropolize hands its chain on unchecked, so the rows report a fault
-        # in it. Moving 5e-11 of mass from T[0, 0] to T[0, 1] breaks detailed
-        # balance above the rows' 1e-12 and stays below the 1e-10 to which
-        # projection_check requires a reversible Qbar.
+        # in it: moving mass from T[0, 0] to T[0, 1] breaks detailed balance
+        # above the rows' 1e-12. Above 1e-10 projection_check also rejects the
+        # faulty Qbar, which fails the projection rows instead of raising.
         chain = finite_chain.FiniteChain
 
         def faulty(pi, Q, T):
             T = T.copy()
-            T[0, 1] += 5e-11
-            T[0, 0] -= 5e-11
+            T[0, 1] += fault
+            T[0, 0] -= fault
             return chain(pi=pi, Q=Q, T=T)
 
         monkeypatch.setattr(finite_chain, "FiniteChain", faulty)
@@ -56,6 +58,8 @@ class TestVerifyCommand:
         assert main(["verify", "--seed", "0", "--out", str(out)]) == 1
         failing = {r[0] for r in read_rows(out)[1:] if r[4] == "false"}
         assert {"finite_detailed_balance", "finite_stationarity"} <= failing
+        projection = {"finite_projection_global", "finite_projection_pointwise"}
+        assert projection <= failing if fault > 1e-10 else not projection & failing
         assert "FAIL finite_detailed_balance" in capsys.readouterr().out
 
 

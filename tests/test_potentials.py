@@ -9,11 +9,10 @@ from malalab.potentials import (
     ADVERSARIAL,
     GAUSSIAN,
     Potential,
-    RegularityReport,
     adversarial_cosine,
     gaussian,
-    verify_regularity,
 )
+from malalab.rng import substream
 
 
 def central_diff_grad(p, x, eps=1e-5):
@@ -123,28 +122,43 @@ def test_unknown_kind_raises():
         dataclasses.replace(gaussian(3), kind="banana")
 
 
+def second_differences(p, n_probes, seed, eps=1e-3):
+    """Directional second differences of V at random points x = r·u.
+
+    The radius r is log-uniform on [1e-3, 4] and u a uniform unit direction,
+    so the origin's neighborhood is probed; each probe takes
+    (V(x + eps·w) − 2 V(x) + V(x − eps·w)) / eps² along a fresh unit w.
+    """
+    rng = substream(seed, "verify-regularity")
+    curvs = np.empty(n_probes)
+    for i in range(n_probes):
+        u = rng.standard_normal(p.d)
+        u /= np.linalg.norm(u)
+        x = np.exp(rng.uniform(np.log(1e-3), np.log(4.0))) * u
+        w = rng.standard_normal(p.d)
+        w /= np.linalg.norm(w)
+        vp, v0, vm = p.value(x + eps * w), p.value(x), p.value(x - eps * w)
+        curvs[i] = (vp - 2.0 * v0 + vm) / (eps * eps)
+    return curvs
+
+
 def test_verify_regularity_gaussian():
-    report = verify_regularity(gaussian(8), 100, seed=7)
-    assert report.passed
-    assert report.min_curvature >= 1 - 1e-4
-    assert report.max_curvature <= 1 + 1e-4
+    c = second_differences(gaussian(8), 100, seed=7)
+    assert c.min() >= 1 - 1e-4 and c.max() <= 1 + 1e-4
 
 
 def test_verify_regularity_adversarial():
-    report = verify_regularity(adversarial_cosine(64, 0.2), 1000, seed=8)
-    assert report.passed
-    assert report.min_curvature >= 0.5 - 1e-3
-    assert report.max_curvature <= 1.5 + 1e-3
+    p = adversarial_cosine(64, 0.2)
+    c = second_differences(p, 1000, seed=8)
+    assert c.min() >= p.alpha - 1e-3 and c.max() <= p.beta + 1e-3
 
 
 def test_verify_regularity_flags_quartic(monkeypatch):
     # A quartic V = t⁴ has curvature 12t², below alpha = 0.5 near the origin.
     p = adversarial_cosine(1, 0.2)
     monkeypatch.setattr(potentials.Potential, "value", lambda self, x: float(x[0] ** 4))
-    report = verify_regularity(p, 500, seed=9)
-    assert not report.passed
-    assert report.n_below_alpha > 0
-    assert report.min_curvature < 0.5 - 1e-3
+    c = second_differences(p, 500, seed=9)
+    assert c.min() < p.alpha - 1e-3
 
 
 def test_verify_regularity_fails_on_a_nan_probe(monkeypatch):
@@ -152,19 +166,9 @@ def test_verify_regularity_fails_on_a_nan_probe(monkeypatch):
     p = adversarial_cosine(1, 0.2)
     monkeypatch.setattr(potentials.Potential, "value",
                         lambda self, x: 0.5 * x[0] * x[0] if abs(x[0]) < 1.0 else math.nan)
-    report = verify_regularity(p, 200, seed=9)
-    assert report.n_below_alpha == report.n_above_beta == 0
-    assert not report.passed
-
-
-def test_regularity_report_fails_on_a_nan_or_a_violation():
-    def report(lo, hi, n_below=0, n_above=0):
-        return RegularityReport(10, 0.5, 1.5, lo, hi, n_below, n_above)
-
-    assert report(0.5, 1.5).passed
-    for bad in (report(math.nan, 1.5), report(0.5, math.nan),
-                report(0.4, 1.5, n_below=1), report(0.5, 1.6, n_above=1)):
-        assert not bad.passed
+    c = second_differences(p, 200, seed=9)
+    assert np.sum(c < p.alpha - 1e-3) == np.sum(c > p.beta + 1e-3) == 0
+    assert np.isnan(c).any()
 
 
 def test_eta_range_is_open():
@@ -182,6 +186,15 @@ def test_replace_with_a_bad_eta_raises():
             dataclasses.replace(p, eta=bad)
     with pytest.raises(ValueError, match="open interval"):
         dataclasses.replace(gaussian(8), kind=ADVERSARIAL)
+
+
+def test_the_gaussian_takes_no_eta():
+    for eta in (0.3, 0.2, 0.0):
+        with pytest.raises(ValueError, match="takes no eta"):
+            Potential(GAUSSIAN, 8, eta)
+    with pytest.raises(ValueError, match="takes no eta"):
+        dataclasses.replace(adversarial_cosine(8, 0.2), kind=GAUSSIAN)
+    assert gaussian(8).eta is None
 
 
 def test_dimension_mismatch_raises():

@@ -73,14 +73,15 @@ def _acceptance_values(p: Potential, h: float, x, n_mc: int, rng) -> np.ndarray:
 
     V(x) and ∇V(x) are evaluated once; each proposal costs one evaluation of
     V and ∇V at y. A non-finite log ratio raises FloatingPointError.
-    Blocks hold 2^17 elements, so each float64 temporary (1 MiB) fits in L2
-    cache; rows are drawn in order, so the block size moves no draw.
+    Blocks hold ``kernels._BLOCK_ELEMENTS`` elements, the block size of
+    ``batch_mala_update``, so that a block's temporaries together stay in a
+    2 MiB L2 cache; rows are drawn in order, so the block size moves no draw.
     """
     kernels._check_step(h)
     x = np.asarray(x, dtype=float)
     d = x.shape[-1]
     value_x, grad_x = p.value_and_grad(x)
-    chunk = max(1, int(2**17 // max(d, 1)))
+    chunk = kernels._block_rows(d)
     out = np.empty(n_mc)
     done = 0
     while done < n_mc:

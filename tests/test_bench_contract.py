@@ -19,7 +19,7 @@ import pytest
 
 from malalab import cli, diagnostics, kernels, verify
 from malalab.oracle1d import CDFTable
-from malalab.potentials import Potential
+from malalab.potentials import Potential, gaussian
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -60,6 +60,30 @@ def test_every_patched_attribute_resolves(selftest):
 ], ids=lambda v: getattr(v, "__qualname__", None) if callable(v) else None)
 def test_patched_callables_bind_the_arguments_their_patches_pass(fn, args, kwargs):
     inspect.signature(fn).bind(*args, **kwargs)
+
+
+def test_the_batched_mala_patches_reach_every_step_and_block(monkeypatch):
+    # The selftest's "step 2h" fault wraps batch_mala_update, which mix must
+    # call once per step; its "+0.05" fault wraps _log_ratio_parts, which
+    # must see every row of a call however the rows are blocked.
+    update, ratio_parts, rows_per_update = kernels.batch_mala_update, kernels._log_ratio_parts, []
+
+    def counted_update(p, h, X, rng):
+        rows_per_update.append([])
+        return update(p, h, X, rng)
+
+    def counted_ratio_parts(*args):
+        rows_per_update[-1].append(len(args[4]))
+        return ratio_parts(*args)
+
+    monkeypatch.setattr(kernels, "batch_mala_update", counted_update)
+    monkeypatch.setattr(kernels, "_log_ratio_parts", counted_ratio_parts)
+    n, far_start = 1200, lambda n, rng: 3.0 + rng.standard_normal((n, 64))
+    steps = diagnostics.mixing_time_measure(gaussian(64), 0.002, far_start, eps=0.05,
+                                            max_steps=3, n_replicas=n, seed=0)
+    assert steps == len(rows_per_update) == 3
+    assert [sum(rows) for rows in rows_per_update] == [n] * steps
+    assert all(len(rows) > 1 for rows in rows_per_update)  # n spans several blocks
 
 
 def _span_names():

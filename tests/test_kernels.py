@@ -24,6 +24,7 @@ from malalab.kernels import (
 from malalab.oracle1d import quad_expectation
 from malalab.potentials import Potential, adversarial_cosine, gaussian
 from malalab.rng import substream
+from test_diagnostics import EXTREME_INPUTS
 
 
 def batch_means_se(series, n_batches=50):
@@ -191,6 +192,67 @@ def test_stationarity_preserved(p, k):
     after = X[:, 0] ** 2
     se = math.sqrt(before.var(ddof=1) / n + after.var(ddof=1) / n)
     assert after.mean() == pytest.approx(before.mean(), abs=3 * se)
+
+
+def one_block_mala_update(p, h, X, rng):
+    """batch_mala_update with the whole ensemble as one block: the reference."""
+    value_x, grad_x = p.value_and_grad(X)
+    Y = (X - h * grad_x) + math.sqrt(2.0 * h) * rng.standard_normal(X.shape)
+    value_y, grad_y = p.value_and_grad(Y)
+    log_ratios = kernels._log_ratio_parts(h, X, value_x, grad_x, Y, value_y, grad_y)
+    if not np.isfinite(log_ratios).all():
+        raise FloatingPointError("non-finite acceptance ratio")
+    accepted = np.log(1.0 - rng.random(len(X))) <= log_ratios
+    return np.where(accepted[:, None], Y, X), accepted, log_ratios
+
+
+class TestBlockedBatchUpdate:
+    """batch_mala_update moves its rows in blocks, with the bits, draws and
+    errors of one block."""
+
+    @pytest.mark.parametrize("make", [gaussian, lambda d: adversarial_cosine(d, 0.2)],
+                             ids=["gaussian", "adversarial"])
+    @pytest.mark.parametrize("n, d", [(1, 3), (1001, 3), (10_923, 3), (4096, 64),
+                                      (3, 2**15 + 1)])
+    def test_blocks_match_one_block_bit_for_bit(self, make, n, d):
+        # 10 923 rows at d = 3 leave one row for a second block; at
+        # d = 2^15 + 1 every block is one row.
+        p, h = make(d), d ** (-1 / 3)
+        X = sample_separable_target(p, n, seed=40)
+        rng, ref_rng = substream(41, "blocks"), substream(41, "blocks")
+        got = batch_mala_update(p, h, X, rng)
+        want = one_block_mala_update(p, h, X, ref_rng)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert rng.random() == ref_rng.random()
+
+    @staticmethod
+    def _assert_raises_as_one_block(p, h, x, row, error, message):
+        # x sits in the first or the last of three blocks of ones.
+        X = np.ones((2 * kernels._block_rows(p.d) + 5, p.d))
+        X[row] = x
+        raised = []
+        for update in (batch_mala_update, one_block_mala_update):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises((ValueError, FloatingPointError)) as info:
+                    update(p, h, X, substream(42, "block-errors"))
+            raised.append((type(info.value), str(info.value)))
+        assert raised == [(error, message)] * 2
+
+    @EXTREME_INPUTS
+    @pytest.mark.parametrize("row", [0, -1], ids=["first-block", "last-block"])
+    def test_a_non_finite_ratio_raises_as_in_one_block(self, p, h, x, row):
+        self._assert_raises_as_one_block(
+            p, h, x, row, FloatingPointError, "non-finite acceptance ratio")
+
+    @pytest.mark.parametrize("row", [0, -1], ids=["first-block", "last-block"])
+    def test_a_proposal_leaving_the_reals_raises_as_in_one_block(self, row):
+        # At h = 1e300 every row of ones has a ratio of −inf, so a ratio check
+        # made block by block would raise FloatingPointError in the first
+        # block, before the last block's proposal from 1e160 leaves the reals.
+        self._assert_raises_as_one_block(
+            gaussian(4), 1e300, np.full(4, 1e160), row,
+            ValueError, "input contains non-finite entries")
 
 
 class TestUlaStep:

@@ -66,7 +66,8 @@ def test_the_batched_mala_patches_reach_every_step_and_block(monkeypatch):
     # The selftest's "step 2h" fault wraps batch_mala_update, which mix must
     # call once per step; its "+0.05" fault wraps _log_ratio_parts, which
     # must see every row of a call however the rows are blocked.
-    update, ratio_parts, rows_per_update = kernels.batch_mala_update, kernels._log_ratio_parts, []
+    update, ratio_parts = kernels.batch_mala_update, kernels._log_ratio_parts
+    rows_per_update = []
 
     def counted_update(p, h, X, rng):
         rows_per_update.append([])
@@ -78,7 +79,7 @@ def test_the_batched_mala_patches_reach_every_step_and_block(monkeypatch):
 
     monkeypatch.setattr(kernels, "batch_mala_update", counted_update)
     monkeypatch.setattr(kernels, "_log_ratio_parts", counted_ratio_parts)
-    n, far_start = 1200, lambda n, rng: 3.0 + rng.standard_normal((n, 64))
+    n, far_start = 1200, lambda m, rng: 3.0 + rng.standard_normal((m, 64))
     steps = diagnostics.mixing_time_measure(gaussian(64), 0.002, far_start, eps=0.05,
                                             max_steps=3, n_replicas=n, seed=0)
     assert steps == len(rows_per_update) == 3

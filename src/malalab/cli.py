@@ -270,6 +270,8 @@ def cmd_sweep(args) -> int:
     sweep = SWEEPS[args.command]
     cfg = _config(args, sweep.defaults)
     try:  # building the cells resolves every target and step size
+        if not cfg.d_grid:
+            raise ValueError("d_grid must not be empty")
         cells = sweep.cells(cfg)
     except ValueError as exc:
         _usage_error(str(exc))

@@ -16,17 +16,21 @@ the exact Ornstein-Uhlenbeck kernel N(e^{−h}·x, (1 − e^{−2h})·I_d), the
 time-h Langevin law of the Gaussian target, and a fine Euler path for
 general targets; :func:`run_chain` drives MALA and ULA only.
 
+One private transition moves a single chain's point (d,) and the rows
+(n, d) of an ensemble alike. A chain carries V and ∇V at its state, so a
+MALA step evaluates them once, at the proposal; ULA evaluates ∇V alone.
+
 Acceptance tests are done in log space, log u <= log a with u ~ Uniform(0,1],
 which is overflow-safe for large ||x||². All randomness is drawn from
 generators derived via :mod:`malalab.rng`, so equal seeds give bitwise-equal
-trajectories. Distinct chains never share mutable state; a single
-:class:`ChainState` must not be advanced concurrently.
+trajectories. Distinct chains share no mutable state; one generator must not
+be advanced concurrently.
 
 At d = 1, :func:`run_chain` runs MALA and ULA on Python floats, bitwise the
-chain of :func:`mala_step`/:func:`ula_step` without numpy's per-call cost on
-(1,) arrays. V and ∇V still go through ``Potential.value``/``grad`` on a
-(1,) buffer, which evaluate a built-in target there on floats, so whatever
-wraps those methods sees every call.
+array step's chain without numpy's per-call cost on (1,) arrays. V and ∇V
+still go through ``Potential.value``/``grad`` on a (1,) buffer, which
+evaluate a built-in target there on floats, so whatever wraps those methods
+sees every call.
 """
 
 from __future__ import annotations
@@ -69,40 +73,16 @@ class KernelParams:
             raise ValueError(f"unknown variant {self.variant!r}")
 
 
-@dataclass
-class ChainState:
-    """Mutable chain head: position, cached potential value/gradient, RNG.
+def init_chain(p: Potential, x0, seed):
+    """A chain's start: (x0, V(x0), ∇V(x0), rng) for one point x0 of shape (d,).
 
-    ``cached_grad`` equals ∇V(x); it is refreshed only on acceptance, which
-    halves gradient evaluations at low acceptance rates.
+    The chain carries V and ∇V from here on and draws from its own stream.
     """
-
-    x: np.ndarray
-    cached_value: float
-    cached_grad: np.ndarray
-    rng: np.random.Generator
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    """One realized transition."""
-
-    proposal: np.ndarray
-    log_ratio: float
-    accepted: bool
-    sq_displacement_coord1: float
-
-
-def init_chain(p: Potential, x0, seed) -> ChainState:
-    """Fresh chain state at x0, one point of shape (d,), with its own RNG stream."""
     x0 = np.array(x0, dtype=float)
     if x0.ndim != 1:
         raise ValueError(f"start must be one point of shape (d,), got shape {x0.shape}")
     value, grad = p.value_and_grad(x0)
-    return ChainState(
-        x=x0, cached_value=float(value), cached_grad=grad,
-        rng=substream(seed, "chain"),
-    )
+    return x0, float(value), grad, substream(seed, "chain")
 
 
 def _langevin_proposal(h: float, x, grad_x, noise) -> np.ndarray:
@@ -172,44 +152,44 @@ def _uniform_open(rng, size=None):
     return 1.0 - rng.random(size)
 
 
-def _langevin_step(p: Potential, h: float, s: ChainState, adjusted: bool):
-    y, value_y, grad_y, log_ratio = _propose_and_ratio(
-        p, h, s.x, s.cached_value, s.cached_grad, s.rng, s.x.shape
-    )
-    if adjusted:
-        _require_finite(log_ratio)
-    log_ratio = float(log_ratio)
-    accepted = not adjusted or math.log(_uniform_open(s.rng)) <= log_ratio
-    if accepted:
-        sq_disp = float((s.x[0] - y[0]) ** 2)
-        s.x = y
-        s.cached_value = float(value_y)
-        s.cached_grad = grad_y
-    else:
-        sq_disp = 0.0
-    return s, StepRecord(
-        proposal=y, log_ratio=log_ratio, accepted=accepted,
-        sq_displacement_coord1=sq_disp,
-    )
+def _block_rows(d: int) -> int:
+    """Rows of d coordinates in one block of the batched MALA paths."""
+    return max(1, _BLOCK_ELEMENTS // max(d, 1))
 
 
-def mala_step(p: Potential, params: KernelParams, s: ChainState):
-    """Advance one MALA transition; returns (state, record).
+def _transition(p: Potential, h: float, X, rng, adjusted=True, carried=None):
+    """One Langevin transition of a point X (d,) or of every row of X (n, d).
 
-    The state is updated in place (and returned): on acceptance the position
-    and cached value/gradient move to the proposal; on rejection the position
-    array is left untouched.
+    ``carried`` is (V(X), ∇V(X)) where the caller keeps them; otherwise they
+    are evaluated here. MALA checks that every log ratio is finite, then
+    draws one uniform per row; ULA evaluates ∇V(Y) alone and accepts all.
+    Returns (Y, V(Y), ∇V(Y), accepted, log ratios), ULA's V(Y) and ratios None.
+
+    More rows than one block of ``_BLOCK_ELEMENTS`` elements are moved block
+    by block, for batch_mala_update's MALA: V and ∇V at X are evaluated per
+    block, and V(Y), ∇V(Y), which no caller reads there, are not kept. The
+    normal blocks are drawn in row order, filling one (n, d) draw, and every
+    sum is per row, so the blocks move no draw and no bit.
     """
-    if params.variant != MALA:
-        raise ValueError(f"mala_step needs variant='mala', got {params.variant!r}")
-    return _langevin_step(p, params.h, s, adjusted=True)
-
-
-def ula_step(p: Potential, params: KernelParams, s: ChainState):
-    """Advance one unadjusted Langevin step (proposal always accepted)."""
-    if params.variant != ULA:
-        raise ValueError(f"ula_step needs variant='ula', got {params.variant!r}")
-    return _langevin_step(p, params.h, s, adjusted=False)
+    rows = _block_rows(X.shape[-1])
+    if X.ndim == 1 or len(X) <= rows:
+        value_x, grad_x = p.value_and_grad(X) if carried is None else carried
+        if not adjusted:
+            Y = _langevin_proposal(h, X, grad_x, rng.standard_normal(X.shape))
+            return Y, None, p.grad(Y), True, None
+        Y, value_y, grad_y, log_ratios = _propose_and_ratio(
+            p, h, X, value_x, grad_x, rng, X.shape)
+    else:
+        Y, value_y, grad_y, log_ratios = np.empty_like(X), None, None, np.empty(len(X))
+        for start in range(0, len(X), rows):
+            block = slice(start, start + rows)
+            x = X[block]
+            value_x, grad_x = p.value_and_grad(x)
+            Y[block], _, _, log_ratios[block] = _propose_and_ratio(
+                p, h, x, value_x, grad_x, rng, x.shape)
+    _require_finite(log_ratios)
+    accepted = np.log(_uniform_open(rng, None if X.ndim == 1 else len(X))) <= log_ratios
+    return Y, value_y, grad_y, accepted, log_ratios
 
 
 def ou_exact_step(h: float, x, rng) -> np.ndarray:
@@ -255,19 +235,20 @@ class ChainSummary:
     trajectory: np.ndarray | None = field(default=None, repr=False)
 
 
-def _langevin_floats(p: Potential, h: float, s: ChainState, n_steps, thin, adjusted):
-    """run_chain's MALA/ULA loop at d = 1 on floats, bitwise _langevin_step's.
+def _langevin_floats(p: Potential, h: float, start, n_steps, thin, adjusted):
+    """run_chain's MALA/ULA loop at d = 1 on floats, bitwise the array step's.
 
     The scalar standard_normal() draws the bits of shape (1,); t * t is
     numpy's array square and (x − y) ** 2 its scalar power. V and ∇V come from
     ``p.value``/``p.grad`` on the (1,) buffer, where a class-level patch sees
     them and a built-in target is evaluated on floats. ULA evaluates ∇V alone:
-    its ratio is never read. Leaves s.x at the final state; returns
-    (n_accepted, Σ squared displacement, recorded states as floats or None).
+    its ratio is never read. ``start`` is :func:`init_chain`'s result; returns
+    (final state, n_accepted, Σ squared displacement, recorded states as
+    floats or None).
     """
-    x, g = float(s.x[0]), float(s.cached_grad[0])
-    v = v_y = s.cached_value  # ULA never evaluates V; v then stays unread
-    rng, buf, scale = s.rng, np.empty(1), math.sqrt(2.0 * h)
+    x0, v, g, rng = start
+    x, g, v_y = float(x0[0]), float(g[0]), v  # ULA never evaluates V; v then stays unread
+    buf, scale = np.empty(1), math.sqrt(2.0 * h)
     snapshots = [x] if thin > 0 else None
     n_accepted, sq_disp_total = 0, 0.0
     for step in range(1, n_steps + 1):
@@ -290,8 +271,7 @@ def _langevin_floats(p: Potential, h: float, s: ChainState, n_steps, thin, adjus
             x, v, g = y, v_y, g_y
         if thin > 0 and step % thin == 0:
             snapshots.append(x)
-    s.x = np.array([x])
-    return n_accepted, sq_disp_total, snapshots
+    return np.array([x]), n_accepted, sq_disp_total, snapshots
 
 
 def run_chain(
@@ -309,25 +289,30 @@ def run_chain(
     chain runs on floats but still calls ``p.value``/``p.grad``, so wrappers
     of those see every evaluation.
     """
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
-    state = init_chain(p, x0, seed)
-    adjusted = params.variant == MALA  # once per run, not per step as in mala_step
-    if state.x.shape == (1,):
-        n_accepted, sq_disp_total, snapshots = _langevin_floats(
-            p, params.h, state, n_steps, thin, adjusted
+    if n_steps < 0 or thin < 0:
+        raise ValueError(f"n_steps and thin must be >= 0, got {n_steps} and {thin}")
+    start = x, value, grad, rng = init_chain(p, x0, seed)
+    adjusted = params.variant == MALA
+    if x.shape == (1,):
+        x, n_accepted, sq_disp_total, snapshots = _langevin_floats(
+            p, params.h, start, n_steps, thin, adjusted
         )
     else:
         n_accepted, sq_disp_total = 0, 0.0
-        snapshots = [state.x.copy()] if thin > 0 else None
+        snapshots = [x] if thin > 0 else None
         for step in range(1, n_steps + 1):
-            state, rec = _langevin_step(p, params.h, state, adjusted)
-            n_accepted += rec.accepted
-            sq_disp_total += rec.sq_displacement_coord1
+            # A state array is never written to, so snapshots need no copy.
+            y, value_y, grad_y, accepted, _ = _transition(
+                p, params.h, x, rng, adjusted, (value, grad)
+            )
+            if accepted:
+                n_accepted += 1
+                sq_disp_total += float((x[0] - y[0]) ** 2)
+                x, value, grad = y, value_y, grad_y
             if thin > 0 and step % thin == 0:
-                snapshots.append(state.x.copy())
+                snapshots.append(x)
     return ChainSummary(
-        final_x=state.x,
+        final_x=x,
         n_steps=n_steps,
         n_accepted=n_accepted,
         acceptance_rate=n_accepted / n_steps if n_steps else None,
@@ -337,38 +322,18 @@ def run_chain(
     )
 
 
-def _block_rows(d: int) -> int:
-    """Rows of d coordinates in one block of the batched MALA paths."""
-    return max(1, _BLOCK_ELEMENTS // max(d, 1))
-
-
 def batch_mala_update(p: Potential, h: float, X, rng):
     """One independent MALA transition for every row of X.
 
     Returns (X_new, accepted_mask, log_ratios); rejected rows keep their
     original values bitwise. Rows are independent chains, so this is the
-    vectorized form of many single steps.
-
-    The rows are moved in blocks of ``_BLOCK_ELEMENTS`` elements. The normal
-    blocks are drawn in row order, which fills the values of one (n, d) draw;
-    the ratios are checked and the n uniforms drawn after the last block; and
-    every sum is per row. So the blocks move no draw and no bit.
+    vectorized form of many single steps, moved in row blocks of
+    ``_BLOCK_ELEMENTS`` elements that move no draw and no bit.
     """
     _check_step(h)
     X = np.asarray(X, dtype=float)
-    Y, log_ratios = np.empty_like(X), np.empty(len(X))
-    rows = _block_rows(X.shape[-1])
-    for start in range(0, len(X), rows):
-        block = slice(start, start + rows)
-        x = X[block]
-        value_x, grad_x = p.value_and_grad(x)
-        Y[block], _, _, log_ratios[block] = _propose_and_ratio(
-            p, h, x, value_x, grad_x, rng, x.shape
-        )
-    _require_finite(log_ratios)
-    accepted = np.log(_uniform_open(rng, len(X))) <= log_ratios
-    X_new = np.where(accepted[:, None], Y, X)
-    return X_new, accepted, log_ratios
+    Y, _, _, accepted, log_ratios = _transition(p, h, X, rng)
+    return np.where(accepted[:, None], Y, X), accepted, log_ratios
 
 
 _TABLE_CACHE: dict[tuple, oracle1d.CDFTable] = {}

@@ -253,14 +253,12 @@ def kernel_checks(seed: int, corrupt_accept: bool = False) -> list[CheckResult]:
     rows.append(_leq("rejection_acceptance_complement",
                      abs(rej.value + acc.value - 1.0), 1e-15))
 
-    params = kernels.KernelParams(h=1.2, variant=kernels.MALA)
-    state = kernels.init_chain(p8, np.full(d8, 2.0), substream(seed, "verify", "atom"))
-    mismatches = 0
-    for _ in range(300):
-        before = state.x.copy()
-        state, rec = kernels.mala_step(p8, params, state)
-        if not rec.accepted and not np.array_equal(state.x, before):
-            mismatches += 1
+    rng_a, X, mismatches = substream(seed, "verify", "atom"), np.full((30, d8), 2.0), 0
+    for _ in range(10):
+        X_new, accepted, _ = kernels.batch_mala_update(p8, 1.2, X, rng_a)
+        moved = (X_new.view(np.int64) != X.view(np.int64)).any(axis=1)
+        mismatches += int(np.sum(moved & ~accepted))
+        X = X_new
     rows.append(_leq("mala_rejection_atom", float(mismatches), 0.0))
 
     # One-step stationarity on exact draws (z-gate at 4 SE).

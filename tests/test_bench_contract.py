@@ -15,6 +15,7 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from malalab import cli, diagnostics, kernels, verify
@@ -85,6 +86,25 @@ def test_the_batched_mala_patches_reach_every_step_and_block(monkeypatch):
     assert steps == len(rows_per_update) == 3
     assert [sum(rows) for rows in rows_per_update] == [n] * steps
     assert all(len(rows) > 1 for rows in rows_per_update)  # n spans several blocks
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_run_chain_starts_through_one_init_chain_call(monkeypatch, d):
+    # The selftest's "run_chain ignores its seed" fault wraps init_chain as
+    # (p, x0, seed); the chain must draw from the stream the wrapper returns,
+    # on the float loop (d = 1) and on the array step alike.
+    init, seeds = kernels.init_chain, []
+
+    def counted_init(p, x0, seed):
+        seeds.append(seed)
+        return init(p, x0, seed + 1)
+
+    p, params = gaussian(d), kernels.KernelParams(h=0.5)
+    unpatched = kernels.run_chain(p, params, np.zeros(d), 20, seed=8)
+    monkeypatch.setattr(kernels, "init_chain", counted_init)
+    patched = kernels.run_chain(p, params, np.zeros(d), 20, seed=7)
+    assert seeds == [7]
+    assert patched.final_x.tobytes() == unpatched.final_x.tobytes()
 
 
 def _span_names():

@@ -306,6 +306,8 @@ class TestConfig:
         ("mix", "eps=2", "eps"), ("mix", "n_replicas=0", "n_replicas"),
         ("mix", "max_steps=-1", "max_steps"), ("sweep-accept", "c=0", "step size"),
         ("sweep-gap", "h_grid=-0.1", "-0.1"), ("mix", "c=-1", "step size"),
+        ("sweep-accept", "d_grid=", "d_grid"), ("sweep-collapse", "d_grid=", "d_grid"),
+        ("sweep-gap", "d_grid=", "d_grid"), ("mix", "d_grid=", "d_grid"),
     ])
     def test_bad_value_exits_2_before_any_cell(self, tmp_path, monkeypatch, capsys,
                                                 command, setting, shown):

@@ -1,3 +1,4 @@
+import copy
 import math
 import sys
 import threading
@@ -14,12 +15,10 @@ from malalab.kernels import (
     diffusion_reference_step,
     init_chain,
     log_accept_ratio,
-    mala_step,
     ou_exact_step,
     propose_mala,
     run_chain,
     sample_separable_target,
-    ula_step,
 )
 from malalab.oracle1d import quad_expectation
 from malalab.potentials import Potential, adversarial_cosine, gaussian
@@ -121,63 +120,32 @@ class TestLogAcceptRatio:
 
 class TestMalaStep:
     def test_tiny_step_accepts(self):
-        p = gaussian(4)
-        params = KernelParams(h=1e-12)
-        state = init_chain(p, np.ones(4), seed=5)
-        accepted = 0
-        for _ in range(10_000):
-            state, rec = mala_step(p, params, state)
-            accepted += rec.accepted
-        assert accepted / 10_000 >= 0.999
-
-    def test_same_seed_gives_bitwise_identical_chains(self):
-        p = adversarial_cosine(6, 0.2)
-        params = KernelParams(h=0.4)
-        out = []
-        for _ in range(2):
-            state = init_chain(p, np.zeros(6), seed=77)
-            xs = []
-            for _ in range(200):
-                state, rec = mala_step(p, params, state)
-                xs.append(state.x.copy())
-            out.append(np.array(xs))
-        np.testing.assert_array_equal(out[0], out[1])
+        summary = run_chain(gaussian(4), KernelParams(h=1e-12), np.ones(4), 10_000, seed=5)
+        assert summary.acceptance_rate >= 0.999
 
     def test_rejection_leaves_state_bitwise_unchanged(self):
-        p = gaussian(8)
-        params = KernelParams(h=1.9)  # large step to force rejections
-        state = init_chain(p, np.full(8, 2.5), seed=6)
+        p, h = gaussian(8), 1.9  # large step to force rejections
+        X, rng = np.full((50, 8), 2.5), substream(6, "atom")
         saw_rejection = False
-        for _ in range(500):
-            before = state.x
-            grad_before = state.cached_grad
-            state, rec = mala_step(p, params, state)
-            if not rec.accepted:
-                saw_rejection = True
-                assert state.x is before
-                assert state.cached_grad is grad_before
-                assert rec.sq_displacement_coord1 == 0.0
-            else:
-                np.testing.assert_array_equal(state.x, rec.proposal)
+        for _ in range(10):
+            # One block, so the update proposes exactly as propose_mala.
+            Y = propose_mala(p, h, X, copy.deepcopy(rng))
+            X_new, accepted, _ = batch_mala_update(p, h, X, rng)
+            saw_rejection |= not accepted.all()
+            assert X_new[~accepted].tobytes() == X[~accepted].tobytes()
+            assert X_new[accepted].tobytes() == Y[accepted].tobytes()
+            X = X_new
         assert saw_rejection
 
-    def test_cached_gradient_stays_consistent(self):
-        p = adversarial_cosine(5, 0.2)
-        params = KernelParams(h=0.6)
-        state = init_chain(p, np.zeros(5), seed=8)
-        for _ in range(100):
-            state, _ = mala_step(p, params, state)
-            np.testing.assert_array_equal(state.cached_grad, p.grad(state.x))
-
     def test_record_invariant(self):
-        p = gaussian(3)
-        params = KernelParams(h=0.8)
-        state = init_chain(p, np.ones(3), seed=9)
-        for _ in range(100):
-            x_before = state.x.copy()
-            state, rec = mala_step(p, params, state)
-            expected = (x_before[0] - rec.proposal[0]) ** 2 if rec.accepted else 0.0
-            assert rec.sq_displacement_coord1 == expected
+        # Rejected steps add 0.0 exactly, so the sum over the trajectory is
+        # the record's sum over accepted steps.
+        n = 100
+        summary = run_chain(gaussian(3), KernelParams(h=0.8), np.ones(3), n, seed=9, thin=1)
+        coord1 = summary.trajectory[:, 0]
+        assert 0 < summary.n_accepted < n
+        assert summary.mean_sq_displacement_coord1 == sum(
+            float((a - b) ** 2) for a, b in zip(coord1[:-1], coord1[1:])) / n
 
 
 @pytest.mark.parametrize("p", [gaussian(16), adversarial_cosine(64, 0.2)])
@@ -257,12 +225,10 @@ class TestBlockedBatchUpdate:
 
 class TestUlaStep:
     def test_always_accepts(self):
-        p = gaussian(2)
         params = KernelParams(h=0.9, variant=kernels.ULA)
-        state = init_chain(p, np.ones(2), seed=12)
-        for _ in range(50):
-            state, rec = ula_step(p, params, state)
-            assert rec.accepted
+        summary = run_chain(gaussian(2), params, np.ones(2), 50, seed=12, thin=1)
+        assert summary.n_accepted == 50
+        assert (summary.trajectory[1:] != summary.trajectory[:-1]).all()
 
     def test_stationary_variance_bias(self):
         # ULA's stationary variance solves s² = (1−h)²·s² + 2h.
@@ -382,30 +348,40 @@ class TestRunChain:
 
     def test_identical_seeds_identical_summaries(self):
         p = adversarial_cosine(3, 0.2)
-        a = run_chain(p, KernelParams(h=0.5), np.zeros(3), 2000, seed=26)
-        b = run_chain(p, KernelParams(h=0.5), np.zeros(3), 2000, seed=26)
+        a, b = (run_chain(p, KernelParams(h=0.5), np.zeros(3), 2000, seed=26, thin=1)
+                for _ in range(2))
+        assert a.trajectory.tobytes() == b.trajectory.tobytes()
         np.testing.assert_array_equal(a.final_x, b.final_x)
         assert a.acceptance_rate == b.acceptance_rate
         assert a.mean_sq_displacement_coord1 == b.mean_sq_displacement_coord1
 
-    @staticmethod
-    def _public_step_loop(p, params, x0, n_steps, seed, thin):
-        # Reference: the public init_chain and mala_step/ula_step, one step
-        # at a time, recording like run_chain.
-        step = mala_step if params.variant == kernels.MALA else ula_step
-        state = init_chain(p, x0, seed)
-        snapshots, n_accepted, sq_disp_total = [state.x.copy()], 0, 0.0
-        for i in range(1, n_steps + 1):
-            state, rec = step(p, params, state)
-            n_accepted += rec.accepted
-            sq_disp_total += rec.sq_displacement_coord1
-            if thin > 0 and i % thin == 0:
-                snapshots.append(state.x.copy())
-        return np.array(snapshots) if thin > 0 else None, state.x, n_accepted, sq_disp_total
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("n_steps, thin, name", [(-1, 0, "n_steps"), (5, -2, "thin")])
+    def test_negative_step_count_or_thin_rejected(self, d, n_steps, thin, name):
+        with pytest.raises(ValueError, match=name):
+            run_chain(gaussian(d), KernelParams(h=0.1), np.zeros(d), n_steps, seed=0, thin=thin)
 
-    def _assert_bits_equal_public_step_loop(self, p, params, x0, n_steps, seed, thin):
+    @staticmethod
+    def _reference_chain(p, params, x0, n_steps, seed, thin):
+        # Reference: one step at a time from the public proposal and ratio,
+        # with V and ∇V evaluated afresh at every step, recording like
+        # run_chain on the stream init_chain derives from the seed.
+        x, rng = np.array(x0, dtype=float), substream(seed, "chain")
+        snapshots, n_accepted, sq_disp_total = [x], 0, 0.0
+        for i in range(1, n_steps + 1):
+            y = propose_mala(p, params.h, x, rng)
+            if (params.variant == kernels.ULA
+                    or math.log(1.0 - rng.random()) <= log_accept_ratio(p, params.h, x, y)):
+                n_accepted += 1
+                sq_disp_total += float((x[0] - y[0]) ** 2)
+                x = y
+            if thin > 0 and i % thin == 0:
+                snapshots.append(x)
+        return np.array(snapshots) if thin > 0 else None, x, n_accepted, sq_disp_total
+
+    def _assert_bits_equal_reference_chain(self, p, params, x0, n_steps, seed, thin):
         summary = run_chain(p, params, x0, n_steps, seed=seed, thin=thin)
-        trajectory, final_x, n_accepted, sq_disp_total = self._public_step_loop(
+        trajectory, final_x, n_accepted, sq_disp_total = self._reference_chain(
             p, params, x0, n_steps, seed, thin)
         if thin > 0:
             assert summary.trajectory.shape == trajectory.shape
@@ -424,24 +400,24 @@ class TestRunChain:
     @pytest.mark.parametrize("d", [1, 7])
     @pytest.mark.parametrize("kind", ["gaussian", "adversarial"])
     @pytest.mark.parametrize("variant", [kernels.MALA, kernels.ULA])
-    def test_bits_equal_public_step_loop(self, variant, kind, d, seed, thin):
+    def test_bits_equal_reference_chain(self, variant, kind, d, seed, thin):
         # d = 1 runs the float loop, d = 7 the array step; both must give
-        # the public step's bits.
+        # the reference's bits.
         p = gaussian(d) if kind == "gaussian" else adversarial_cosine(d, 0.2)
         params = KernelParams(h=0.5, variant=variant)
         x0 = substream(seed, "x0").standard_normal(d)
-        self._assert_bits_equal_public_step_loop(p, params, x0, 300, seed, thin)
+        self._assert_bits_equal_reference_chain(p, params, x0, 300, seed, thin)
 
     @pytest.mark.parametrize("p, variant", [
         (gaussian(1), kernels.MALA), (adversarial_cosine(1, 0.2), kernels.MALA),
         (gaussian(1), kernels.ULA),
     ], ids=["mala-gaussian", "mala-adversarial", "ula-gaussian"])
-    def test_float_chain_bits_equal_public_step_loop_long(self, p, variant):
+    def test_float_chain_bits_equal_reference_chain_long(self, p, variant):
         # The chain benchmark's three chains at its h, bit for bit over
         # 20 000 steps.
         x0 = substream(63, "x0").standard_normal(1)
         params = KernelParams(h=0.2, variant=variant)
-        self._assert_bits_equal_public_step_loop(p, params, x0, 20_000, 63, 1)
+        self._assert_bits_equal_reference_chain(p, params, x0, 20_000, 63, 1)
 
     def test_float_chain_squares_the_displacement_like_numpy(self):
         # Seed 466's first ULA step from 0 moves by a t whose t ** 2 (libm's
@@ -451,7 +427,7 @@ class TestRunChain:
         t = -run_chain(p, params, np.zeros(1), 1, seed=466).final_x[0]
         if float(t) ** 2 == float(t) * float(t):
             pytest.skip("this platform's pow rounds t ** 2 like t * t")
-        self._assert_bits_equal_public_step_loop(p, params, np.zeros(1), 1, 466, 1)
+        self._assert_bits_equal_reference_chain(p, params, np.zeros(1), 1, 466, 1)
 
     @staticmethod
     def _count_potential_calls(monkeypatch):
@@ -466,18 +442,20 @@ class TestRunChain:
             monkeypatch.setattr(Potential, name, counted)
         return calls
 
+    @pytest.mark.parametrize("d", [1, 7])
     @pytest.mark.parametrize("variant, value_calls", [
         (kernels.MALA, 1 + 100), (kernels.ULA, 1),
     ])
-    def test_float_chain_evaluates_through_potential_methods(
-        self, monkeypatch, variant, value_calls
+    def test_chain_evaluates_through_potential_methods(
+        self, monkeypatch, d, variant, value_calls
     ):
-        # At d = 1 every V and ∇V still goes through Potential.value and
-        # Potential.grad, so a wrapper of either sees each step; ULA reads
+        # Every V and ∇V goes through Potential.value and Potential.grad, at
+        # d = 1 too, so a wrapper of either sees each step. The chain carries
+        # V and ∇V, so a step evaluates them at the proposal only; ULA reads
         # no V after init_chain.
         calls = self._count_potential_calls(monkeypatch)
-        run_chain(adversarial_cosine(1, 0.2), KernelParams(h=0.5, variant=variant),
-                  np.zeros(1), 100, seed=28)
+        run_chain(adversarial_cosine(d, 0.2), KernelParams(h=0.5, variant=variant),
+                  np.zeros(d), 100, seed=28)
         assert calls == {"value": value_calls, "grad": 1 + 100}
 
 
@@ -512,9 +490,6 @@ def test_kernel_params_validation():
         KernelParams(h=0.1, variant="rwm")
     with pytest.raises(ValueError):
         KernelParams(h=0.1, variant="ou_exact")  # a one-step kernel, not a chain variant
-    with pytest.raises(ValueError):
-        mala_step(gaussian(2), KernelParams(h=0.1, variant=kernels.ULA),
-                  init_chain(gaussian(2), np.zeros(2), 0))
 
 
 # One call per place that takes a step size; each must reject h outside (0, inf).

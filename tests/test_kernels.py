@@ -356,13 +356,13 @@ class TestRunChain:
         assert a.mean_sq_displacement_coord1 == b.mean_sq_displacement_coord1
 
     @pytest.mark.parametrize("d", [1, 3])
-    @pytest.mark.parametrize("n_steps, thin, name", [(-1, 0, "n_steps"), (5, -2, "thin")])
-    def test_negative_step_count_or_thin_rejected(self, d, n_steps, thin, name):
-        with pytest.raises(ValueError, match=name):
+    @pytest.mark.parametrize("n_steps, thin", [(-1, 0), (5, -2)])
+    def test_negative_step_count_or_thin_rejected(self, d, n_steps, thin):
+        with pytest.raises(ValueError, match=f"got {n_steps} and {thin}"):
             run_chain(gaussian(d), KernelParams(h=0.1), np.zeros(d), n_steps, seed=0, thin=thin)
 
     @staticmethod
-    def _reference_chain(p, params, x0, n_steps, seed, thin):
+    def _public_step_loop(p, params, x0, n_steps, seed, thin):
         # Reference: one step at a time from the public proposal and ratio,
         # with V and ∇V evaluated afresh at every step, recording like
         # run_chain on the stream init_chain derives from the seed.
@@ -379,9 +379,9 @@ class TestRunChain:
                 snapshots.append(x)
         return np.array(snapshots) if thin > 0 else None, x, n_accepted, sq_disp_total
 
-    def _assert_bits_equal_reference_chain(self, p, params, x0, n_steps, seed, thin):
+    def _assert_bits_equal_public_step_loop(self, p, params, x0, n_steps, seed, thin):
         summary = run_chain(p, params, x0, n_steps, seed=seed, thin=thin)
-        trajectory, final_x, n_accepted, sq_disp_total = self._reference_chain(
+        trajectory, final_x, n_accepted, sq_disp_total = self._public_step_loop(
             p, params, x0, n_steps, seed, thin)
         if thin > 0:
             assert summary.trajectory.shape == trajectory.shape
@@ -400,24 +400,24 @@ class TestRunChain:
     @pytest.mark.parametrize("d", [1, 7])
     @pytest.mark.parametrize("kind", ["gaussian", "adversarial"])
     @pytest.mark.parametrize("variant", [kernels.MALA, kernels.ULA])
-    def test_bits_equal_reference_chain(self, variant, kind, d, seed, thin):
+    def test_bits_equal_public_step_loop(self, variant, kind, d, seed, thin):
         # d = 1 runs the float loop, d = 7 the array step; both must give
         # the reference's bits.
         p = gaussian(d) if kind == "gaussian" else adversarial_cosine(d, 0.2)
         params = KernelParams(h=0.5, variant=variant)
         x0 = substream(seed, "x0").standard_normal(d)
-        self._assert_bits_equal_reference_chain(p, params, x0, 300, seed, thin)
+        self._assert_bits_equal_public_step_loop(p, params, x0, 300, seed, thin)
 
     @pytest.mark.parametrize("p, variant", [
         (gaussian(1), kernels.MALA), (adversarial_cosine(1, 0.2), kernels.MALA),
         (gaussian(1), kernels.ULA),
     ], ids=["mala-gaussian", "mala-adversarial", "ula-gaussian"])
-    def test_float_chain_bits_equal_reference_chain_long(self, p, variant):
+    def test_float_chain_bits_equal_public_step_loop_long(self, p, variant):
         # The chain benchmark's three chains at its h, bit for bit over
         # 20 000 steps.
         x0 = substream(63, "x0").standard_normal(1)
         params = KernelParams(h=0.2, variant=variant)
-        self._assert_bits_equal_reference_chain(p, params, x0, 20_000, 63, 1)
+        self._assert_bits_equal_public_step_loop(p, params, x0, 20_000, 63, 1)
 
     def test_float_chain_squares_the_displacement_like_numpy(self):
         # Seed 466's first ULA step from 0 moves by a t whose t ** 2 (libm's
@@ -427,7 +427,7 @@ class TestRunChain:
         t = -run_chain(p, params, np.zeros(1), 1, seed=466).final_x[0]
         if float(t) ** 2 == float(t) * float(t):
             pytest.skip("this platform's pow rounds t ** 2 like t * t")
-        self._assert_bits_equal_reference_chain(p, params, np.zeros(1), 1, 466, 1)
+        self._assert_bits_equal_public_step_loop(p, params, np.zeros(1), 1, 466, 1)
 
     @staticmethod
     def _count_potential_calls(monkeypatch):
@@ -446,11 +446,11 @@ class TestRunChain:
     @pytest.mark.parametrize("variant, value_calls", [
         (kernels.MALA, 1 + 100), (kernels.ULA, 1),
     ])
-    def test_chain_evaluates_through_potential_methods(
+    def test_float_chain_evaluates_through_potential_methods(
         self, monkeypatch, d, variant, value_calls
     ):
-        # Every V and ∇V goes through Potential.value and Potential.grad, at
-        # d = 1 too, so a wrapper of either sees each step. The chain carries
+        # Every V and ∇V goes through Potential.value and Potential.grad, on
+        # the float loop (d = 1) too, so a wrapper of either sees each step. The chain carries
         # V and ∇V, so a step evaluates them at the proposal only; ULA reads
         # no V after init_chain.
         calls = self._count_potential_calls(monkeypatch)

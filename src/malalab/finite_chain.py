@@ -9,6 +9,15 @@ inequality, and the conductance-based mixing bound
 
     ||mu_n − pi||_TV <= M0·s + M0·exp(−C_s²·n/2).
 
+Every entry point takes a stack of m chains of one size n: pi of shape
+(m, n), matrices and starts of shape (m, n, n) and (m, n), and it returns
+one value per chain. A single chain, pi of shape (n,), is a stack of one
+whose results come back unstacked, as floats and (n,) or (2^n − 2,)
+arrays. Each chain's values keep the bits of a chain-by-chain computation:
+row sums are taken over 2-D rows and products are numpy's vector-matrix and
+dot products, one per chain. An input whose shape does not fit pi's raises
+``ValueError`` naming both shapes.
+
 State counts are capped at 20 (subset enumeration is exponential); the
 random instance families used by the tests stay at n <= 10.
 """
@@ -17,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -25,7 +33,8 @@ EXACT_TOL = 1e-12
 
 MAX_STATES = 20
 
-# Flows gathered per block of subsets in spectral_quantities (8 MB of floats).
+# Flows gathered per block of subsets in spectral_quantities (8 MB of floats),
+# counted over every chain of the stack.
 _BLOCK_ELEMENTS = 1 << 20
 
 # (n, step) -> the size groups of an enumeration that is a single block.
@@ -34,7 +43,8 @@ _INDEX_CACHE: dict[tuple[int, int], list] = {}
 
 @dataclass(frozen=True)
 class FiniteChain:
-    """Stationary vector pi, proposal Q, and metropolized kernel T."""
+    """Stationary vector pi, proposal Q, and metropolized kernel T of one
+    chain, (n,) and (n, n), or of a stack, (m, n) and (m, n, n)."""
 
     pi: np.ndarray
     Q: np.ndarray
@@ -42,19 +52,62 @@ class FiniteChain:
 
     @property
     def n(self) -> int:
-        return len(self.pi)
+        return self.pi.shape[-1]
+
+
+def _check_shape(name: str, a: np.ndarray, pi_shape: tuple, expected: tuple):
+    if a.shape != expected:
+        raise ValueError(f"{name} has shape {a.shape}; pi of shape {pi_shape} needs {expected}")
+
+
+def _stack(pi, **matrices):
+    """(single, pi as (m, n), the named matrices as (m, n, n)): C-ordered
+    float stacks, single when pi is one chain's (n,)."""
+    pi = np.ascontiguousarray(pi, dtype=float)
+    if pi.ndim not in (1, 2):
+        raise ValueError(f"pi has shape {pi.shape}; expected (n,) or (m, n)")
+    arrays = [np.ascontiguousarray(M, dtype=float) for M in matrices.values()]
+    for name, M in zip(matrices, arrays):
+        _check_shape(name, M, pi.shape, pi.shape + pi.shape[-1:])
+    if pi.ndim == 2:
+        return False, pi, arrays
+    return True, pi[None], [M[None] for M in arrays]
+
+
+def _unstack(single: bool, x: np.ndarray):
+    """x as given for a stack; for a single chain its only entry, a scalar
+    as a float."""
+    if not single:
+        return x
+    return float(x[0]) if x.ndim == 1 else x[0]
+
+
+def _row_sums(A: np.ndarray) -> np.ndarray:
+    """A summed over its last axis as contiguous 2-D rows: each row's sum has
+    the same bits whatever the stack around it. (numpy adds a contiguous row
+    of 8 or more terms pairwise, but a strided one, or a 3-D gather's, one
+    term at a time.)"""
+    return np.ascontiguousarray(A).reshape(-1, A.shape[-1]).sum(axis=1).reshape(A.shape[:-1])
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x[k] @ y[k] for each row k of two (m, n) stacks."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
+def _diagonal(n: int) -> tuple:
+    """Index of the diagonals of an (m, n, n) stack."""
+    return (slice(None), *np.diag_indices(n))
 
 
 # Both checks are written so that a NaN or infinite entry fails them.
 def _check_distribution(pi: np.ndarray, what: str):
-    if pi.ndim != 1 or not np.all(pi >= 0) or not abs(pi.sum() - 1.0) <= 1e-9:
+    if not np.all(pi >= 0) or not np.all(np.abs(pi.sum(axis=-1) - 1.0) <= 1e-9):
         raise ValueError(f"{what} must be a probability vector")
 
 
 def _check_row_stochastic(M: np.ndarray, what: str):
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"{what} must be a square matrix")
-    if not np.all(M >= -1e-9) or not np.max(np.abs(M.sum(axis=1) - 1.0)) <= 1e-9:
+    if not np.all(M >= -1e-9) or not np.max(np.abs(M.sum(axis=-1) - 1.0)) <= 1e-9:
         raise ValueError(f"{what} must be row-stochastic")
 
 
@@ -68,44 +121,68 @@ def metropolize(Q, pi) -> FiniteChain:
     stationarity are measured, not asserted: ``verify``'s finite-chain rows
     and ``finite-selftest`` report them.
     """
-    Q = np.asarray(Q, dtype=float)
-    pi = np.asarray(pi, dtype=float)
+    single, pi, (Q,) = _stack(pi, Q=Q)
     _check_row_stochastic(Q, "Q")
     if np.any(pi <= 0):
         raise ValueError("pi must be entrywise positive")
     _check_distribution(pi, "pi")
-    flow = np.minimum(pi[:, None] * Q, (pi[:, None] * Q).T)
-    T = flow / pi[:, None]
-    np.fill_diagonal(T, 0.0)
-    np.fill_diagonal(T, np.maximum(0.0, 1.0 - T.sum(axis=1)))
+    F = pi[:, :, None] * Q
+    T = np.minimum(F, F.swapaxes(1, 2)) / pi[:, :, None]
+    diagonal = _diagonal(pi.shape[1])
+    T[diagonal] = 0.0
+    T[diagonal] = np.maximum(0.0, 1.0 - _row_sums(T))
+    if single:
+        return FiniteChain(pi=pi[0], Q=Q[0], T=T[0])
     return FiniteChain(pi=pi, Q=Q, T=T)
 
 
-def detailed_balance_error(T, pi) -> float:
+def detailed_balance_error(T, pi):
     """max_ij |pi_i·T[i, j] − pi_j·T[j, i]|."""
-    F = np.asarray(pi, dtype=float)[:, None] * np.asarray(T, dtype=float)
-    return float(np.max(np.abs(F - F.T)))
+    single, pi, (T,) = _stack(pi, T=T)
+    F = pi[:, :, None] * T
+    return _unstack(single, np.max(np.abs(F - F.swapaxes(1, 2)), axis=(1, 2)))
 
 
-def offdiag_l1(A, B, pi) -> float:
-    """Σ_i pi_i · Σ_{j != i} |A[i, j] − B[i, j]|, the projection metric."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.shape != B.shape:
-        raise ValueError("matrices must have matching shapes")
+def _offdiag_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Σ_{j != i} |A[i, j] − B[i, j]| for each row i of two stacks."""
     D = np.abs(A - B)
-    np.fill_diagonal(D, 0.0)
-    return float(np.asarray(pi, dtype=float) @ D.sum(axis=1))
+    D[_diagonal(D.shape[-1])] = 0.0
+    return _row_sums(D)
+
+
+def offdiag_l1(A, B, pi):
+    """Σ_i pi_i · Σ_{j != i} |A[i, j] − B[i, j]|, the projection metric."""
+    single, pi, (A, B) = _stack(pi, A=A, B=B)
+    return _unstack(single, _dot(pi, _offdiag_rows(A, B)))
 
 
 @dataclass(frozen=True)
 class SpectralQuantities:
-    """Eigen spectral gap plus enumerated conductance profile."""
+    """Eigen spectral gap plus enumerated conductance profile: floats for one
+    chain, one more leading axis for a stack. Entry r of subset_masses and
+    subset_flows is pi(S) and the flow out of S, Σ_{i in S, j not in S}
+    pi_i·T[i, j], for the subset S of bitmask r + 1."""
 
     gap: float
     conductance: float
-    s_conductance: Callable[[float], float]
     subset_masses: np.ndarray
+    subset_flows: np.ndarray
+
+    def s_conductance(self, s: float):
+        """min of flow(S)/(pi(S) − s) over s < pi(S) <= 1/2; inf if no subset
+        qualifies."""
+        if not 0.0 <= s < 0.5:
+            raise ValueError("s must lie in [0, 1/2)")
+        masses = self.subset_masses
+        return _min_ratio(self.subset_flows, masses - s, (masses > s) & (masses <= 0.5))
+
+
+def _min_ratio(flows: np.ndarray, denominators: np.ndarray, eligible: np.ndarray):
+    """Per chain, min of flows/denominators over the eligible subsets (inf if
+    none); a float for one chain."""
+    ratio = np.divide(flows, denominators, out=np.full(flows.shape, math.inf), where=eligible)
+    worst = np.min(ratio, axis=-1)
+    return float(worst) if worst.ndim == 0 else worst
 
 
 def spectral_quantities(c: FiniteChain) -> SpectralQuantities:
@@ -115,46 +192,38 @@ def spectral_quantities(c: FiniteChain) -> SpectralQuantities:
     and s-conductance enumerate all 2^n − 2 proper subsets in blocks grouped
     by size, so 2 <= n <= 20.
     """
-    n = c.n
+    single, pi, (T,) = _stack(c.pi, T=c.T)
+    m, n = pi.shape
     if not 2 <= n <= MAX_STATES:
         raise ValueError(f"subset enumeration needs at least 2 and at most {MAX_STATES} states")
-    root = np.sqrt(c.pi)
-    sym = root[:, None] * c.T / root[None, :]
-    sym = 0.5 * (sym + sym.T)
+    root = np.sqrt(pi)
+    sym = root[:, :, None] * T / root[:, None, :]
+    sym = 0.5 * (sym + sym.swapaxes(1, 2))
     eigenvalues = np.linalg.eigvalsh(sym)
-    gap = float(min(max(1.0 - eigenvalues[-2], 0.0), 2.0))
+    gap = np.minimum(np.maximum(1.0 - eigenvalues[:, -2], 0.0), 2.0)
 
-    flat_flows = (c.pi[:, None] * c.T).ravel()
+    flat_flows = (pi[:, :, None] * T).reshape(m, n * n)
     n_subsets = (1 << n) - 2
-    masses = np.empty(n_subsets)
-    flows = np.empty(n_subsets)
-    # A size-k subset gathers k·(n − k) <= n²/4 flows, so a block of `step`
-    # masks gathers at most _BLOCK_ELEMENTS. Each row is summed contiguously
-    # in the order of F[np.ix_(inside, outside)] for F = pi_i·T[i, j], as a
+    masses = np.empty((m, n_subsets))
+    flows = np.empty((m, n_subsets))
+    # A size-k subset gathers k·(n − k) <= n²/4 flows, so `step` masks of one
+    # chain gather at most _BLOCK_ELEMENTS, and so do `per` chains of a block
+    # of at most step // per masks. Each row is summed contiguously in the
+    # order of F[np.ix_(inside, outside)] for F = pi_i·T[i, j], as a
     # per-subset .sum() would.
     step = _BLOCK_ELEMENTS * 4 // (n * n)
     for start in range(0, n_subsets, step):
-        for rows, inside, cut in _size_groups(n, start, min(start + step, n_subsets), step):
-            masses[rows] = c.pi.take(inside).sum(axis=1)
-            flows[rows] = flat_flows.take(cut).sum(axis=1)
+        stop = min(start + step, n_subsets)
+        per = max(1, step // (stop - start))
+        for rows, inside, cut in _size_groups(n, start, stop, step):
+            for first in range(0, m, per):
+                chains = slice(first, first + per)
+                masses[chains, rows] = _row_sums(pi[chains].take(inside, axis=1))
+                flows[chains, rows] = _row_sums(flat_flows[chains].take(cut, axis=1))
 
     small = masses <= 0.5
-    conductance = float(np.min(flows[small] / masses[small])) if small.any() else 1.0
-
-    def s_conductance(s: float) -> float:
-        if not 0.0 <= s < 0.5:
-            raise ValueError("s must lie in [0, 1/2)")
-        eligible = (masses > s) & small
-        if not eligible.any():
-            return math.inf
-        return float(np.min(flows[eligible] / (masses[eligible] - s)))
-
-    return SpectralQuantities(
-        gap=gap,
-        conductance=conductance,
-        s_conductance=s_conductance,
-        subset_masses=masses,
-    )
+    conductance = np.where(small.any(axis=1), _min_ratio(flows, masses, small), 1.0)
+    return SpectralQuantities(*(_unstack(single, x) for x in (gap, conductance, masses, flows)))
 
 
 def _size_groups(n: int, start: int, stop: int, step: int) -> list:
@@ -181,7 +250,8 @@ def _size_groups(n: int, start: int, stop: int, step: int) -> list:
 
 @dataclass(frozen=True)
 class FiniteProjectionReport:
-    """Global and per-state projection inequalities for one (pi, Q, Qbar)."""
+    """Global and per-state projection inequalities for (pi, Q, Qbar): floats
+    and (n,) arrays for one chain, one more leading axis for a stack."""
 
     global_lhs: float
     global_rhs: float
@@ -190,8 +260,9 @@ class FiniteProjectionReport:
 
     @property
     def passed(self) -> bool:
-        """Both inequalities hold to :data:`EXACT_TOL`; a NaN side fails."""
-        return bool(self.global_lhs <= self.global_rhs + EXACT_TOL
+        """Both inequalities hold to :data:`EXACT_TOL` on every chain; a NaN
+        side fails."""
+        return bool(np.all(self.global_lhs <= self.global_rhs + EXACT_TOL)
                     and np.all(self.state_lhs <= self.state_rhs + EXACT_TOL))
 
 
@@ -199,41 +270,28 @@ def projection_check(Q, Qbar, pi) -> FiniteProjectionReport:
     """Verify the adjustment is a projection relative to any reversible Qbar.
 
     With T = metropolize(Q, pi) and Qbar reversible w.r.t. pi (checked to
-    1e-10), asserts
+    1e-10 on every chain), asserts
 
     (i)  offdiag_l1(T, Q, pi) <= 2 · offdiag_l1(Qbar, Q, pi);
     (ii) per state i:
          Σ_{j != i} |T − Q|[i, j] <= 2 Σ_{j != i} |Qbar − Q|[i, j]
              + Σ_{j: Qbar[j, i] > 0} (pi_j·Qbar[j, i]/pi_i) · |Q[j, i]/Qbar[j, i] − 1|.
     """
-    Q = np.asarray(Q, dtype=float)
-    Qbar = np.asarray(Qbar, dtype=float)
-    pi = np.asarray(pi, dtype=float)
+    single, pi, (Q, Qbar) = _stack(pi, Q=Q, Qbar=Qbar)
     _check_row_stochastic(Qbar, "Qbar")
-    if detailed_balance_error(Qbar, pi) > 1e-10:
+    if np.any(detailed_balance_error(Qbar, pi) > 1e-10):
         raise ValueError("Qbar is not reversible with respect to pi")
-    T = metropolize(Q, pi).T
-
-    global_lhs = offdiag_l1(T, Q, pi)
-    global_rhs = 2.0 * offdiag_l1(Qbar, Q, pi)
-
-    DTQ = np.abs(T - Q)
-    np.fill_diagonal(DTQ, 0.0)
-    DBQ = np.abs(Qbar - Q)
-    np.fill_diagonal(DBQ, 0.0)
-    state_lhs = DTQ.sum(axis=1)
-    reverse_mass = (pi[:, None] * Qbar).T / pi[:, None]  # [i, j] = pi_j Qbar[j,i]/pi_i
+    state_lhs = _offdiag_rows(metropolize(Q, pi).T, Q)
+    bar_rows = _offdiag_rows(Qbar, Q)
+    # reverse[k, j, i] = (pi_j·Qbar[j, i]/pi_i)·|Q[j, i]/Qbar[j, i] − 1| of chain k,
+    # summed over j down each column: numpy adds a column one j at a time.
+    reverse_mass = (pi[:, :, None] * Qbar) / pi[:, None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.abs(np.where(Qbar.T > 0, Q.T / np.where(Qbar.T > 0, Qbar.T, 1.0), 0.0) - 1.0)
-    rel = np.where(Qbar.T > 0, rel, 0.0)
-    state_rhs = 2.0 * DBQ.sum(axis=1) + (reverse_mass * rel).sum(axis=1)
-
-    return FiniteProjectionReport(
-        global_lhs=global_lhs,
-        global_rhs=global_rhs,
-        state_lhs=state_lhs,
-        state_rhs=state_rhs,
-    )
+        rel = np.abs(np.where(Qbar > 0, Q / np.where(Qbar > 0, Qbar, 1.0), 0.0) - 1.0)
+    rel = np.where(Qbar > 0, rel, 0.0)
+    state_rhs = 2.0 * bar_rows + (reverse_mass * rel).sum(axis=1)
+    return FiniteProjectionReport(*(_unstack(single, x) for x in (
+        _dot(pi, state_lhs), 2.0 * _dot(pi, bar_rows), state_lhs, state_rhs)))
 
 
 S_GRID = (0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.49)
@@ -241,7 +299,8 @@ S_GRID = (0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.49)
 
 @dataclass(frozen=True)
 class EvolveReport:
-    """Exact checks along an evolved distribution mu_n = mu_0 T^n."""
+    """Exact checks along an evolved distribution mu_n = mu_0 T^n: floats for
+    one chain, (m,) arrays for a stack."""
 
     n_steps: int
     warmness_start: float
@@ -252,8 +311,8 @@ class EvolveReport:
     @property
     def passed(self) -> bool:
         """Every violation is at most :data:`EXACT_TOL`; a NaN fails."""
-        return all(v <= EXACT_TOL for v in (
-            self.max_warm_violation, self.max_chi2_violation, self.max_lovasz_violation))
+        return bool(np.all(np.array([self.max_warm_violation, self.max_chi2_violation,
+                                     self.max_lovasz_violation]) <= EXACT_TOL))
 
 
 def evolve_and_check(c: FiniteChain, mu0, n_steps: int) -> EvolveReport:
@@ -265,27 +324,35 @@ def evolve_and_check(c: FiniteChain, mu0, n_steps: int) -> EvolveReport:
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
+    single, pi, (T,) = _stack(c.pi, T=c.T)
     mu = np.asarray(mu0, dtype=float)
+    _check_shape("mu0", mu, np.shape(c.pi), np.shape(c.pi))
     _check_distribution(mu, "mu0")
     spec = spectral_quantities(c)
-    # Row n is mu_n, each from the row before as a single vector step would be.
-    traj = np.empty((n_steps + 1, c.n))
-    traj[0] = mu
-    for n in range(1, n_steps + 1):
-        traj[n] = traj[n - 1] @ c.T
-    warm = np.max(traj / c.pi, axis=1)
-    m0 = float(warm[0])
-    tv = 0.5 * np.abs(traj[1:] - c.pi).sum(axis=1)
-    chi2 = ((traj[1:] - c.pi) ** 2 / c.pi).sum(axis=1)
+    m, n = pi.shape
+    # traj[k, t] is mu_t of chain k, each from the row before as a single
+    # vector step would be.
+    traj = np.empty((m, n_steps + 1, n))
+    traj[:, 0] = mu
+    for t in range(1, n_steps + 1):
+        traj[:, t] = (traj[:, t - 1, None] @ T)[:, 0]
+    warm = np.max(traj / pi[:, None], axis=2)
+    m0 = warm[:, 0]
+    off = traj[:, 1:] - pi[:, None]
+    tv = 0.5 * _row_sums(np.abs(off))
+    chi2 = _row_sums(off ** 2 / pi[:, None])
+    # c_s[k, 0, j] is C_s of chain k at s = S_GRID[j]; decay[k, t − 1, j] = −C_s²·t/2.
+    c_s = np.reshape([spec.s_conductance(s) for s in S_GRID], (len(S_GRID), m)).T[:, None]
+    finite = np.isfinite(c_s)
+    decay = np.where(finite, -0.5 * c_s * c_s, 0.0) * np.arange(1, n_steps + 1)[:, None]
     # math.exp, not np.exp: the bounds keep the bits of the scalar formula.
-    decay = [-0.5 * c_s * c_s if math.isfinite(c_s) else None
-             for c_s in map(spec.s_conductance, S_GRID)]
-    bound = np.array([[m0 * s + (m0 * math.exp(a * n) if a is not None else 0.0)
-                       for s, a in zip(S_GRID, decay)] for n in range(1, n_steps + 1)])
-    excess = (warm[1:] - warm[:-1], chi2 - 2.0 * m0 * tv,
-              tv[:, None] - bound.reshape(n_steps, len(S_GRID)))
+    tail = np.fromiter(map(math.exp, decay.ravel().tolist()), float, decay.size)
+    bound = m0[:, None, None] * np.array(S_GRID) + np.where(
+        finite, m0[:, None, None] * tail.reshape(decay.shape), 0.0)
+    excess = (warm[:, 1:] - warm[:, :-1], chi2 - 2.0 * m0[:, None] * tv, tv[:, :, None] - bound)
     # initial=0.0 reads an empty trajectory as no violation; a NaN propagates.
-    return EvolveReport(n_steps, m0, *(float(np.max(e, initial=0.0)) for e in excess))
+    worst = (np.max(e, axis=tuple(range(1, e.ndim)), initial=0.0) for e in excess)
+    return EvolveReport(n_steps, *(_unstack(single, x) for x in (m0, *worst)))
 
 
 def _random_proposal(n: int, rng) -> np.ndarray:
@@ -293,15 +360,21 @@ def _random_proposal(n: int, rng) -> np.ndarray:
     return Q / Q.sum(axis=1, keepdims=True)
 
 
+def _draw(n: int, rng, proposals: int) -> tuple:
+    """pi ~ Dirichlet(1, ..., 1), then `proposals` row-normalized uniform
+    proposals, drawn in that order."""
+    pi = rng.dirichlet(np.ones(n))
+    return (pi, *(_random_proposal(n, rng) for _ in range(proposals)))
+
+
 def random_reversible_chain(n: int, rng) -> FiniteChain:
     """Random instance: pi ~ Dirichlet(1, ..., 1), Q row-normalized uniforms."""
-    pi = rng.dirichlet(np.ones(n))
-    return metropolize(_random_proposal(n, rng), pi)
+    pi, Q = _draw(n, rng, 1)
+    return metropolize(Q, pi)
 
 
 def random_projection_triple(n: int, rng):
     """(pi, Q, Qbar): pi and Q drawn as random_reversible_chain draws them,
     Qbar reversible by metropolizing a second proposal."""
-    pi = rng.dirichlet(np.ones(n))
-    Q = _random_proposal(n, rng)
-    return pi, Q, metropolize(_random_proposal(n, rng), pi).T
+    pi, Q, other = _draw(n, rng, 2)
+    return pi, Q, metropolize(other, pi).T

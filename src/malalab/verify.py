@@ -286,37 +286,61 @@ def kernel_checks(seed: int, corrupt_accept: bool = False) -> list[CheckResult]:
 # finite-chain exact suite
 
 
-def _random_chain(rng) -> finite_chain.FiniteChain:
-    return finite_chain.random_reversible_chain(int(rng.integers(3, 11)), rng)
+def _draw_chain(rng) -> tuple:
+    """pi and Q of a chain on 3–10 states, drawn as random_reversible_chain
+    draws them."""
+    return finite_chain._draw(int(rng.integers(3, 11)), rng, 1)
+
+
+def _draw_triple(rng) -> tuple:
+    """pi, Q and Qbar's proposal on 2–8 states, drawn as
+    random_projection_triple draws them."""
+    return finite_chain._draw(int(rng.integers(2, 9)), rng, 2)
+
+
+def _by_size(draws: list, measure) -> list:
+    """measure(pi, *matrices) on the stacked draws of each state count, one
+    call per count; its per-chain outputs come back in draw order."""
+    sizes = np.array([len(draw[0]) for draw in draws])
+    out = []
+    for n in np.unique(sizes):
+        where = np.flatnonzero(sizes == n)
+        values = measure(*map(np.stack, zip(*(draws[i] for i in where))))
+        out = out or [np.empty((len(draws), *np.shape(v)[1:])) for v in values]
+        for column, v in zip(out, values):
+            column[where] = v
+    return out
 
 
 def _chain_measures(c: finite_chain.FiniteChain):
-    """Detailed-balance and stationarity errors, the slacks gap − Φ²/8 and
-    2Φ − gap of both Cheeger inequalities, and the spectral quantities."""
+    """Per chain of a stack: detailed-balance and stationarity errors, the
+    slacks gap − Φ²/8 and 2Φ − gap of both Cheeger inequalities, and the
+    spectral quantities."""
     sp = finite_chain.spectral_quantities(c)
     return (finite_chain.detailed_balance_error(c.T, c.pi),
-            float(np.max(np.abs(c.pi @ c.T - c.pi))),
+            np.max(np.abs((c.pi[:, None] @ c.T)[:, 0] - c.pi), axis=1),
             sp.gap - sp.conductance**2 / 8.0, 2.0 * sp.conductance - sp.gap, sp)
 
 
-def _projection_excess(rng) -> tuple[float, float]:
-    """lhs − rhs of the global and worst pointwise projection inequality."""
-    pi_r, q_r, qbar_r = finite_chain.random_projection_triple(
-        int(rng.integers(2, 9)), rng
-    )
-    try:
-        rep = finite_chain.projection_check(q_r, qbar_r, pi_r)
-    except ValueError:  # a faulty metropolize left Qbar irreversible
-        return math.inf, math.inf
-    return rep.global_lhs - rep.global_rhs, float(np.max(rep.state_lhs - rep.state_rhs))
-
-
-def _warm_start_violations(c: finite_chain.FiniteChain) -> tuple[float, float, float]:
-    """Warmness, chi-squared and Lovász violations from the lightest state."""
-    mu0 = np.zeros(c.n)
-    mu0[int(np.argmin(c.pi))] = 1.0
+def _warm_start_violations(c: finite_chain.FiniteChain) -> tuple:
+    """Warmness, chi-squared and Lovász violations over 50 steps from each
+    chain's lightest state."""
+    mu0 = np.zeros_like(c.pi)
+    mu0[np.arange(len(mu0)), np.argmin(c.pi, axis=1)] = 1.0
     rep = finite_chain.evolve_and_check(c, mu0, 50)
     return rep.max_warm_violation, rep.max_chi2_violation, rep.max_lovasz_violation
+
+
+def _projection_excess(pi, Q, other):
+    """lhs − rhs of the global and worst pointwise projection inequality per
+    triple (pi, Q, Qbar = metropolize(other, pi).T); all infinite when a
+    faulty metropolize left a Qbar of the stack irreversible."""
+    Qbar = finite_chain.metropolize(other, pi).T
+    try:
+        rep = finite_chain.projection_check(Q, Qbar, pi)
+    except ValueError:
+        return np.full(len(pi), math.inf), np.full(len(pi), math.inf)
+    return rep.global_lhs - rep.global_rhs, np.max(rep.state_lhs - rep.state_rhs, axis=1)
 
 
 def finite_chain_checks(seed: int) -> list[CheckResult]:
@@ -334,43 +358,37 @@ def finite_chain_checks(seed: int) -> list[CheckResult]:
     rows.append(_leq("finite_two_state_spectral",
                      max(abs(spec.gap - 0.75), abs(spec.conductance - 0.5)), 1e-12))
 
+    # Each phase draws all its instances in order, then measures them in one
+    # stacked call per state count; a NaN measure fails its row.
     rng = substream(seed, "verify", "finite")
-    worst_db = worst_stat = 0.0
-    worst_cheeger = math.inf
-    worst_smono = 0.0
     s_grid = np.linspace(0.01, 0.45, 9)
-    for _ in range(200):
-        db, stat, cheeger_lower, cheeger_upper, sp = _chain_measures(_random_chain(rng))
-        worst_db = max(worst_db, db)
-        worst_stat = max(worst_stat, stat)
-        worst_cheeger = min(worst_cheeger, cheeger_lower, cheeger_upper)
-        cs_vals = [sp.s_conductance(s) for s in s_grid]
-        finite_vals = [v for v in cs_vals if math.isfinite(v)]
-        if len(finite_vals) > 1:
-            worst_smono = max(worst_smono,
-                              max(a - b for a, b in zip(finite_vals, finite_vals[1:])))
-    rows.append(_leq("finite_detailed_balance", worst_db, finite_chain.EXACT_TOL))
-    rows.append(_leq("finite_stationarity", worst_stat, finite_chain.EXACT_TOL))
-    rows.append(_geq("finite_cheeger_sandwich_slack", worst_cheeger, -1e-12))
-    rows.append(_leq("finite_s_conductance_monotone", worst_smono, 1e-12))
 
-    worst_global = worst_state = 0.0
-    for _ in range(500):
-        excess_global, excess_state = _projection_excess(rng)
-        worst_global = max(worst_global, excess_global)
-        worst_state = max(worst_state, excess_state)
+    def cheeger(pi, Q):
+        *measures, sp = _chain_measures(finite_chain.metropolize(Q, pi))
+        return (*measures, np.transpose([sp.s_conductance(s) for s in s_grid]))
+
+    db, stat, lower, upper, cs = _by_size([_draw_chain(rng) for _ in range(200)], cheeger)
+    # A chain's infinite values of s_conductance form a suffix of the grid;
+    # each finite value is compared with the next.
+    rise = np.subtract(cs[:, :-1], cs[:, 1:], out=np.zeros((len(cs), len(s_grid) - 1)),
+                       where=~np.isposinf(cs[:, :-1]))
+    rows.append(_leq("finite_detailed_balance", np.max(db, initial=0.0), finite_chain.EXACT_TOL))
+    rows.append(_leq("finite_stationarity", np.max(stat, initial=0.0), finite_chain.EXACT_TOL))
+    rows.append(_geq("finite_cheeger_sandwich_slack",
+                     np.min((lower, upper), initial=math.inf), -1e-12))
+    rows.append(_leq("finite_s_conductance_monotone", np.max(rise, initial=0.0), 1e-12))
+
+    worst_global, worst_state = (np.max(e, initial=0.0) for e in _by_size(
+        [_draw_triple(rng) for _ in range(500)], _projection_excess))
     rows.append(_leq("finite_projection_global", worst_global, finite_chain.EXACT_TOL))
     rows.append(_leq("finite_projection_pointwise", worst_state, finite_chain.EXACT_TOL))
 
-    worst_warm = worst_chi2 = worst_lov = 0.0
-    for _ in range(100):
-        warm, chi2, lov = _warm_start_violations(_random_chain(rng))
-        worst_warm = max(worst_warm, warm)
-        worst_chi2 = max(worst_chi2, chi2)
-        worst_lov = max(worst_lov, lov)
-    rows.append(_leq("finite_warmness_monotone", worst_warm, finite_chain.EXACT_TOL))
-    rows.append(_leq("finite_chi2_warmness", worst_chi2, finite_chain.EXACT_TOL))
-    rows.append(_leq("finite_lovasz_bound", worst_lov, finite_chain.EXACT_TOL))
+    warm, chi2, lov = (np.max(v, initial=0.0) for v in _by_size(
+        [_draw_chain(rng) for _ in range(100)],
+        lambda pi, Q: _warm_start_violations(finite_chain.metropolize(Q, pi))))
+    rows.append(_leq("finite_warmness_monotone", warm, finite_chain.EXACT_TOL))
+    rows.append(_leq("finite_chi2_warmness", chi2, finite_chain.EXACT_TOL))
+    rows.append(_leq("finite_lovasz_bound", lov, finite_chain.EXACT_TOL))
     return rows
 
 
@@ -386,23 +404,27 @@ def run_all_checks(seed: int, corrupt_accept: bool = False) -> list[CheckResult]
 
 def finite_selftest_rows(n_instances: int, seed: int):
     """Per-instance finite-chain report rows: (instance i, check id, slack);
-    instance i draws from ``substream(seed, "finite-selftest", i)``."""
-    rows = []
-    all_ok = True
-    tol = finite_chain.EXACT_TOL
+    instance i draws its chain, then its projection triple, from
+    ``substream(seed, "finite-selftest", i)``."""
+    chains, triples = [], []
     for i in range(n_instances):
         rng = substream(seed, "finite-selftest", i)
-        c = _random_chain(rng)
-        db, stat, cheeger_lower, cheeger_upper, _ = _chain_measures(c)
-        excess_global, excess_state = _projection_excess(rng)
-        warm, chi2, lov = _warm_start_violations(c)
-        for r in (_leq("detailed_balance", db, tol), _leq("stationarity", stat, tol),
-                  _geq("cheeger_lower", cheeger_lower, -1e-12),
-                  _geq("cheeger_upper", cheeger_upper, -1e-12),
-                  _leq("projection_global", excess_global, tol),
-                  _leq("projection_pointwise", excess_state, tol),
-                  _leq("warmness_monotone", warm, tol),
-                  _leq("chi2_warmness", chi2, tol), _leq("lovasz_bound", lov, tol)):
-            rows.append((i, r.name, r.slack))
-            all_ok = all_ok and r.passed
-    return rows, all_ok
+        chains.append(_draw_chain(rng))
+        triples.append(_draw_triple(rng))
+
+    def chain_columns(pi, Q):
+        c = finite_chain.metropolize(Q, pi)
+        return (*_chain_measures(c)[:4], *_warm_start_violations(c))
+
+    chain = _by_size(chains, chain_columns)
+    columns = (*chain[:4], *_by_size(triples, _projection_excess), *chain[4:])
+    tol = finite_chain.EXACT_TOL
+    checks = (("detailed_balance", _leq, tol), ("stationarity", _leq, tol),
+              ("cheeger_lower", _geq, -1e-12), ("cheeger_upper", _geq, -1e-12),
+              ("projection_global", _leq, tol), ("projection_pointwise", _leq, tol),
+              ("warmness_monotone", _leq, tol), ("chi2_warmness", _leq, tol),
+              ("lovasz_bound", _leq, tol))
+    rows = [(i, name, check(name, value, bound).slack)
+            for i, values in enumerate(zip(*columns))
+            for (name, check, bound), value in zip(checks, values)]
+    return rows, all(slack >= 0.0 for _, _, slack in rows)

@@ -1,0 +1,178 @@
+"""Every finite-chain row of ``verify`` can fail: one named fault per row.
+
+Each fault is a plausible one-line bug in the finite-chain testbed, patched
+in for a single ``finite_chain_checks`` run; the row it is listed under must
+then report a negative slack. The unpatched run is the control, and the
+ledger must name every row the group reports. No bound is changed to make a
+row flip. Findings:
+
+* ``finite_projection_global`` flips only through ``projection_check``'s
+  reversibility guard. On the 500 random triples the global ratio
+  lhs/rhs peaks at 1/2 (the factor 2 of the bound is never used), so a
+  fault inside the inequality's arithmetic stays below the bound.
+* ``finite_chi2_warmness`` starts each chain at its lightest state, where
+  M0 = 1/min pi bounds mu/pi for every probability vector mu. So no fault
+  that keeps mu_n a probability vector can flip it; it flips when the
+  kernel creates mass.
+* ``finite_lovasz_bound`` flips only when the kernel does not keep pi: even
+  a doubled s-conductance stays under the bound on these chains.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from malalab import finite_chain, verify
+
+SEED = 0
+CHAIN = finite_chain.FiniteChain
+
+
+def _kernel_fault(change):
+    """A FiniteChain constructor that hands on change(T, Q) as the kernel."""
+    def faulty(pi, Q, T):
+        return CHAIN(pi=pi, Q=Q, T=change(np.array(T), np.asarray(Q)))
+    return faulty
+
+
+def _diagonal(T):
+    return (..., *np.diag_indices(T.shape[-1]))
+
+
+def _moved_mass(T, Q):
+    T[..., 0, 1] += 1e-9
+    T[..., 0, 0] -= 1e-9
+    return T
+
+
+def _short_diagonal(T, Q):
+    T[_diagonal(T)] -= 1e-9
+    return T
+
+
+def _stale_diagonal(T, Q):
+    T[_diagonal(T)] += Q[_diagonal(Q)]
+    return T
+
+
+def _offdiag_rows_with_diagonal(A, B):
+    return finite_chain._row_sums(np.abs(A - B))
+
+
+def _both_directions(spectral_quantities):
+    def faulty(c):
+        sp = spectral_quantities(c)
+        return dataclasses.replace(sp, conductance=2 * sp.conductance,
+                                   subset_flows=2 * sp.subset_flows)
+    return faulty
+
+
+def _descending(eigvalsh):
+    return lambda a: eigvalsh(a)[..., ::-1]
+
+
+def _s_added(self, s):
+    masses = self.subset_masses
+    return finite_chain._min_ratio(self.subset_flows, masses + s, (masses > s) & (masses <= 0.5))
+
+
+def _no_reverse_term(projection_check):
+    def faulty(Q, Qbar, pi):
+        rep = projection_check(Q, Qbar, pi)
+        Q, Qbar = np.asarray(Q), np.asarray(Qbar)
+        return dataclasses.replace(rep, state_rhs=2.0 * finite_chain._offdiag_rows(Qbar, Q))
+    return faulty
+
+
+def _unadjusted_evolution(evolve_and_check):
+    def faulty(c, mu0, n_steps):
+        return evolve_and_check(dataclasses.replace(c, T=c.Q), mu0, n_steps)
+    return faulty
+
+
+# name -> (owner, attribute, replacement built from the original)
+FAULTS = {
+    "metropolize returns the proposal unadjusted":
+        (finite_chain, "FiniteChain", lambda _: _kernel_fault(lambda T, Q: Q.copy())),
+    "metropolize divides the flow by pi_j, not pi_i":
+        (finite_chain, "FiniteChain",
+         lambda _: _kernel_fault(lambda T, Q: T.swapaxes(-1, -2).copy())),
+    "1e-9 of mass moved from T[0, 0] to T[0, 1]":
+        (finite_chain, "FiniteChain", lambda _: _kernel_fault(_moved_mass)),
+    "the diagonal refilled 1e-9 short":
+        (finite_chain, "FiniteChain", lambda _: _kernel_fault(_short_diagonal)),
+    "the rejected mass added onto the stale diagonal":
+        (finite_chain, "FiniteChain", lambda _: _kernel_fault(_stale_diagonal)),
+    "the projection metric counts the diagonal":
+        (finite_chain, "_offdiag_rows", lambda _: _offdiag_rows_with_diagonal),
+    "each cut flow counted from both sides":
+        (finite_chain, "spectral_quantities", _both_directions),
+    "eigvalsh read as descending":
+        (np.linalg, "eigvalsh", _descending),
+    "s-conductance divides by pi(S) + s":
+        (finite_chain.SpectralQuantities, "s_conductance", lambda _: _s_added),
+    "the reverse-mass term dropped from the pointwise bound":
+        (finite_chain, "projection_check", _no_reverse_term),
+    "evolve runs the unadjusted proposal":
+        (finite_chain, "evolve_and_check", _unadjusted_evolution),
+}
+
+LEDGER = {
+    "finite_two_state_kernel": "metropolize returns the proposal unadjusted",
+    "finite_two_state_offdiag_l1": "the projection metric counts the diagonal",
+    "finite_two_state_spectral": "each cut flow counted from both sides",
+    "finite_detailed_balance": "1e-9 of mass moved from T[0, 0] to T[0, 1]",
+    "finite_stationarity": "the diagonal refilled 1e-9 short",
+    "finite_cheeger_sandwich_slack": "eigvalsh read as descending",
+    "finite_s_conductance_monotone": "s-conductance divides by pi(S) + s",
+    "finite_projection_global": "metropolize divides the flow by pi_j, not pi_i",
+    "finite_projection_pointwise": "the reverse-mass term dropped from the pointwise bound",
+    "finite_warmness_monotone": "evolve runs the unadjusted proposal",
+    "finite_chi2_warmness": "the rejected mass added onto the stale diagonal",
+    "finite_lovasz_bound": "evolve runs the unadjusted proposal",
+}
+
+
+def _slacks():
+    return {r.name: r.slack for r in verify.finite_chain_checks(SEED)}
+
+
+def test_control_run_passes_every_row_the_ledger_names():
+    slacks = _slacks()
+    assert sorted(slacks) == sorted(LEDGER)
+    assert all(slack >= 0.0 for slack in slacks.values())
+
+
+@pytest.mark.parametrize("row", sorted(LEDGER))
+def test_the_row_fails_under_its_fault(monkeypatch, row):
+    owner, attr, build = FAULTS[LEDGER[row]]
+    monkeypatch.setattr(owner, attr, build(getattr(owner, attr)))
+    assert _slacks()[row] < 0.0, LEDGER[row]
+
+
+def _nan_at_first_chain(field):
+    def fault(fn):
+        def faulty(*args):
+            out = fn(*args)
+            value = np.array(getattr(out, field), dtype=float)
+            value.flat[0] = np.nan
+            return dataclasses.replace(out, **{field: value})
+        return faulty
+    return fault
+
+
+# A NaN measured on one chain of a stack fails the row that reads it.
+@pytest.mark.parametrize("attr, field, row", [
+    ("evolve_and_check", "max_warm_violation", "finite_warmness_monotone"),
+    ("evolve_and_check", "max_chi2_violation", "finite_chi2_warmness"),
+    ("evolve_and_check", "max_lovasz_violation", "finite_lovasz_bound"),
+    ("projection_check", "global_lhs", "finite_projection_global"),
+    ("projection_check", "state_rhs", "finite_projection_pointwise"),
+    ("spectral_quantities", "gap", "finite_cheeger_sandwich_slack"),
+    ("spectral_quantities", "subset_flows", "finite_s_conductance_monotone"),
+])
+def test_a_nan_on_one_chain_fails_its_row(monkeypatch, attr, field, row):
+    monkeypatch.setattr(finite_chain, attr,
+                        _nan_at_first_chain(field)(getattr(finite_chain, attr)))
+    assert not _slacks()[row] >= 0.0

@@ -430,3 +430,148 @@ def test_reports_fail_on_a_nan_or_a_violation():
     for lhs, rhs, state_lhs in ((nan, 1.0, ok), (1.0, nan, ok), (0.0, 1.0, bad),
                                 (1.0 + over, 1.0, ok)):
         assert not FiniteProjectionReport(lhs, rhs, state_lhs, ok).passed
+
+
+# s values of finite_chain.S_GRID and of verify's monotonicity grid.
+STACK_S_VALUES = sorted({*finite_chain.S_GRID, *np.linspace(0.01, 0.45, 9)})
+
+
+def _stack_draws(n, seed, m=7):
+    """m random (pi, Q, other proposal) draws of size n, stacked."""
+    rng = substream(seed, "stacks", n)
+    return tuple(map(np.stack, zip(*(finite_chain._draw(n, rng, 2) for _ in range(m)))))
+
+
+class TestStacks:
+    """A stack of m chains of one size gives each chain the bits of its own
+    call, at every n the verify suite draws (n = 9 and 10 included, where a
+    subset holds 8 or more states)."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_kernels_and_projection_match_a_per_chain_loop(self, n, seed):
+        pi, Q, other = _stack_draws(n, seed)
+        chains = metropolize(Q, pi)
+        singles = [metropolize(q, p) for q, p in zip(Q, pi)]
+        assert chains.T.shape == Q.shape
+        assert chains.T.tobytes() == np.stack([c.T for c in singles]).tobytes()
+        Qbar = metropolize(other, pi).T
+        assert (detailed_balance_error(chains.T, pi).tolist()
+                == [detailed_balance_error(c.T, c.pi) for c in singles])
+        assert (offdiag_l1(chains.T, Q, pi).tolist()
+                == [offdiag_l1(c.T, c.Q, c.pi) for c in singles])
+        report = projection_check(Q, Qbar, pi)
+        for k in range(len(pi)):
+            single = projection_check(Q[k], Qbar[k], pi[k])
+            assert report.global_lhs[k] == single.global_lhs
+            assert report.global_rhs[k] == single.global_rhs
+            assert report.state_lhs[k].tobytes() == single.state_lhs.tobytes()
+            assert report.state_rhs[k].tobytes() == single.state_rhs.tobytes()
+        assert report.passed
+
+    # 1000 gathered flows per block split the stack into chunks of chains,
+    # and n >= 7 into several blocks of subsets.
+    @pytest.mark.parametrize("block_elements", [None, 1000],
+                             ids=["default-blocks", "small-blocks"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_spectral_quantities_match_the_per_subset_loop(self, monkeypatch, n, seed,
+                                                           block_elements):
+        if block_elements is not None:
+            monkeypatch.setattr(finite_chain, "_BLOCK_ELEMENTS", block_elements)
+        pi, Q, _ = _stack_draws(n, seed)
+        chains = metropolize(Q, pi)
+        spec = spectral_quantities(chains)
+        assert spec.subset_masses.shape == spec.subset_flows.shape == (len(pi), (1 << n) - 2)
+        by_s = {s: spec.s_conductance(s) for s in STACK_S_VALUES}
+        for k in range(len(pi)):
+            chain = FiniteChain(pi=pi[k], Q=Q[k], T=chains.T[k])
+            gap, masses, conductance, s_conductance = _per_subset_reference(chain)
+            assert spec.gap[k] == gap
+            assert spec.conductance[k] == conductance
+            assert spec.subset_masses[k].tobytes() == masses.tobytes()
+            single = spectral_quantities(chain)
+            assert spec.subset_flows[k].tobytes() == single.subset_flows.tobytes()
+            for s, values in by_s.items():
+                assert values[k] == s_conductance(s) == single.s_conductance(s)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_evolve_and_check_matches_the_per_step_loop(self, n, seed):
+        pi, Q, other = _stack_draws(n, seed)
+        chains = metropolize(Q, pi)
+        # A kernel built for another pi does not keep this one, so from any
+        # start the violations are positive and carry the bits of TV and chi².
+        borrowed = FiniteChain(pi=pi, Q=Q, T=metropolize(other, pi[::-1]).T)
+        lightest = np.eye(n)[np.argmin(pi, axis=1)]
+        spread = np.tile(np.arange(1.0, n + 1.0) / (n * (n + 1) / 2), (len(pi), 1))
+        for stack, mu0 in ((chains, lightest), (borrowed, lightest), (borrowed, spread)):
+            report = evolve_and_check(stack, mu0, 50)
+            assert report.n_steps == 50
+            for k in range(len(pi)):
+                chain = FiniteChain(pi=pi[k], Q=Q[k], T=stack.T[k])
+                single = evolve_and_check(chain, mu0[k], 50)
+                assert single == _per_step_evolve_reference(chain, mu0[k], 50)
+                assert single == EvolveReport(50, *(float(field[k]) for field in (
+                    report.warmness_start, report.max_warm_violation,
+                    report.max_chi2_violation, report.max_lovasz_violation)))
+
+    def test_a_single_chain_comes_back_unstacked(self):
+        chain = metropolize(TWO_STATE_Q, TWO_STATE_PI)
+        assert chain.T.shape == (2, 2) and chain.n == 2
+        spec = spectral_quantities(chain)
+        assert all(type(v) is float for v in (spec.gap, spec.conductance,
+                                               spec.s_conductance(0.1)))
+        assert spec.subset_masses.shape == spec.subset_flows.shape == (2,)
+        report = projection_check(TWO_STATE_Q, chain.T, TWO_STATE_PI)
+        assert type(report.global_lhs) is float and report.state_lhs.shape == (2,)
+        assert type(detailed_balance_error(chain.T, TWO_STATE_PI)) is float
+        assert type(offdiag_l1(chain.T, TWO_STATE_Q, TWO_STATE_PI)) is float
+        evolved = evolve_and_check(chain, np.array([1.0, 0.0]), 3)
+        assert type(evolved.max_lovasz_violation) is float
+
+    def test_stacked_reports_fail_when_one_chain_fails(self):
+        ok, nan = np.zeros(3), np.array([0.0, math.nan, 0.0])
+        assert EvolveReport(1, ok + 1.0, ok, ok, ok).passed
+        assert not EvolveReport(1, ok + 1.0, ok, nan, ok).passed
+        assert FiniteProjectionReport(ok, ok, np.zeros((3, 2)), np.zeros((3, 2))).passed
+        state = np.zeros((3, 2))
+        state[2, 1] = 2.0 * EXACT_TOL
+        assert not FiniteProjectionReport(ok, ok, state, np.zeros((3, 2))).passed
+
+
+class TestShapeErrors:
+    """Inputs of mismatched shapes raise ValueError naming both shapes."""
+
+    def test_metropolize(self):
+        with pytest.raises(ValueError, match=r"Q has shape \(3, 3\); pi of shape \(2,\) "
+                                             r"needs \(2, 2\)"):
+            metropolize(np.full((3, 3), 1 / 3), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match=r"Q has shape \(4, 3, 3\); pi of shape \(5, 3\)"):
+            metropolize(np.full((4, 3, 3), 1 / 3), np.full((5, 3), 1 / 3))
+        with pytest.raises(ValueError, match=r"pi has shape \(1, 1, 2\); expected"):
+            metropolize(TWO_STATE_Q, TWO_STATE_PI[None, None])
+
+    def test_detailed_balance_error(self):
+        with pytest.raises(ValueError, match=r"T has shape \(3, 3\); pi of shape \(2,\)"):
+            detailed_balance_error(np.eye(3), TWO_STATE_PI)
+
+    def test_offdiag_l1(self):
+        with pytest.raises(ValueError, match=r"A has shape \(2, 2\); pi of shape \(3,\) "
+                                             r"needs \(3, 3\)"):
+            offdiag_l1(np.eye(2), np.eye(2), np.full(3, 1 / 3))
+
+    def test_projection_check(self):
+        with pytest.raises(ValueError, match=r"Qbar has shape \(3, 3\); pi of shape \(2,\)"):
+            projection_check(TWO_STATE_Q, np.full((3, 3), 1 / 3), TWO_STATE_PI)
+
+    def test_spectral_quantities(self):
+        chain = FiniteChain(pi=TWO_STATE_PI, Q=np.eye(3), T=np.eye(3))
+        with pytest.raises(ValueError, match=r"T has shape \(3, 3\); pi of shape \(2,\)"):
+            spectral_quantities(chain)
+
+    def test_evolve_and_check(self):
+        chain = metropolize(TWO_STATE_Q, TWO_STATE_PI)
+        with pytest.raises(ValueError, match=r"mu0 has shape \(3,\); pi of shape \(2,\) "
+                                             r"needs \(2,\)"):
+            evolve_and_check(chain, np.full(3, 1 / 3), 5)

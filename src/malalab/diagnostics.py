@@ -33,7 +33,7 @@ finitely many sampled states, never a supremum over the event.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -83,13 +83,11 @@ def _acceptance_values(p: Potential, h: float, x, n_mc: int, rng) -> np.ndarray:
     value_x, grad_x = p.value_and_grad(x)
     chunk = kernels._block_rows(d)
     out = np.empty(n_mc)
-    done = 0
-    while done < n_mc:
+    for done in range(0, n_mc, chunk):
         m = min(chunk, n_mc - done)
         *_, log_ratios = kernels._propose_and_ratio(p, h, x, value_x, grad_x, rng, (m, d))
         kernels._require_finite(log_ratios)
         out[done : done + m] = np.exp(np.minimum(log_ratios, 0.0))
-        done += m
     return out
 
 
@@ -110,9 +108,7 @@ def rejection_probability(p: Potential, h: float, x, n_mc: int, seed) -> Estimat
     if n_mc < 100:
         raise ValueError("n_mc must be >= 100")
     acc = acceptance_at(p, h, x, n_mc, seed)
-    return EstimateWithSE(
-        value=1.0 - acc.value, std_error=acc.std_error, n_samples=acc.n_samples
-    )
+    return replace(acc, value=1.0 - acc.value)
 
 
 @dataclass(frozen=True)
@@ -152,12 +148,8 @@ def mean_acceptance(
     for i, x in enumerate(X):
         rng = substream(seed, "proposals", i)
         per_state[i] = _acceptance_values(p, h, x, n_mc, rng).mean()
-    return AcceptanceEstimate(
-        estimate=_mean_se(per_state),
-        n_states=len(X),
-        n_mc=n_mc,
-        filter_rejected_fraction=rejected_fraction,
-    )
+    return AcceptanceEstimate(estimate=_mean_se(per_state), n_states=len(X), n_mc=n_mc,
+                              filter_rejected_fraction=rejected_fraction)
 
 
 def gaussian_conductance_bound(x_norm2: float, h: float, d: int) -> float:
@@ -213,14 +205,12 @@ def tv_mc_estimate(
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    rng = substream(seed, "tv-mc")
-    X = sampler_p(n, rng)
+    X = sampler_p(n, substream(seed, "tv-mc"))
     lp = np.asarray(log_p(X), dtype=float)
     lq = np.asarray(log_q(X), dtype=float)
     if not np.all(np.isfinite(lp)) or np.any(np.isnan(lq)) or np.any(lq == np.inf):
         raise FloatingPointError("non-finite log densities in TV estimator")
-    vals = np.clip(1.0 - np.exp(lq - lp), 0.0, 1.0)
-    return _mean_se(vals)
+    return _mean_se(np.clip(1.0 - np.exp(lq - lp), 0.0, 1.0))
 
 
 def isotropic_gaussian_logpdf(X, mean, var: float):
@@ -265,8 +255,7 @@ def projection_check_gaussian(
     states = substream(seed, "projection-states").standard_normal((n_states, d))
     ou_var = -math.expm1(-2.0 * h)
     decay = math.exp(-h)
-    lhs = np.empty(n_states)
-    rhs = np.empty(n_states)
+    lhs, rhs = np.empty(n_states), np.empty(n_states)
     for i, x in enumerate(states):
         lhs[i] = rejection_probability(
             p_target, h, x, n_mc, substream(seed, "projection-reject", i)
@@ -280,18 +269,14 @@ def projection_check_gaussian(
         rhs[i] = tv_mc_estimate(
             lambda Y: isotropic_gaussian_logpdf(Y, mean_ou, ou_var),
             lambda Y: isotropic_gaussian_logpdf(Y, mean_q, 2.0 * h),
-            sampler,
-            n_mc,
-            substream(seed, "projection-tv", i),
+            sampler, n_mc, substream(seed, "projection-tv", i),
         ).value
     lhs_est, rhs_est = _mean_se(lhs), _mean_se(rhs)
     threshold = 2.0 * rhs_est.value + 3.0 * math.sqrt(
         lhs_est.std_error**2 + 4.0 * rhs_est.std_error**2
     )
-    return ProjectionReport(
-        lhs=lhs_est, rhs=rhs_est, threshold=threshold,
-        n_states=n_states, n_mc=n_mc,
-    )
+    return ProjectionReport(lhs=lhs_est, rhs=rhs_est, threshold=threshold,
+                            n_states=n_states, n_mc=n_mc)
 
 
 # Sorted samples per block of the pruned sliced-TV scan, the slack below
@@ -387,7 +372,9 @@ def mixing_time_measure(
     Each step's test first sorts a few coordinates and compares their
     block-end gaps with eps. That fast path only rules mixing out: a step is
     declared mixed only by a full :func:`sliced_tv_to_target`, so the count
-    is the one that computing the sliced TV at every step would give.
+    is the one that computing the sliced TV at every step would give. Each
+    step's draws are made a step ahead on a helper thread (``kernels._DrawAhead``);
+    the count and a Generator ``seed``'s final state are the step-by-step loop's.
     """
     if not 0.0 < eps < 1.0 or max_steps < 0:
         raise ValueError("need eps in (0, 1) and max_steps >= 0")
@@ -395,9 +382,9 @@ def mixing_time_measure(
     X = np.asarray(x0_sampler(n_replicas, substream(seed, "mix-init")), dtype=float)
     if sliced_tv_to_target(X, table) <= eps:
         return 0
-    rng = substream(seed, "mix-steps")
-    for step in range(1, max_steps + 1):
-        X, _, _ = kernels.batch_mala_update(p, h, X, rng)
-        if _mixed(X, table, eps):
-            return step
+    with kernels._DrawAhead(substream(seed, "mix-steps"), *X.shape) as rng:
+        for step in range(1, max_steps + 1):
+            X, _, _ = kernels.batch_mala_update(p, h, X, rng)
+            if _mixed(X, table, eps):
+                return step
     return max_steps

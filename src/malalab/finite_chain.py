@@ -190,7 +190,8 @@ def spectral_quantities(c: FiniteChain) -> SpectralQuantities:
 
     The gap comes from the pi-symmetrized kernel's eigenvalues; conductance
     and s-conductance enumerate all 2^n − 2 proper subsets in blocks grouped
-    by size, so 2 <= n <= 20.
+    by size, so 2 <= n <= 20. A chain whose symmetrized kernel is not finite
+    gets a NaN gap and NaN flows, so NaN conductances, instead of a raise.
     """
     single, pi, (T,) = _stack(c.pi, T=c.T)
     m, n = pi.shape
@@ -199,8 +200,9 @@ def spectral_quantities(c: FiniteChain) -> SpectralQuantities:
     root = np.sqrt(pi)
     sym = root[:, :, None] * T / root[:, None, :]
     sym = 0.5 * (sym + sym.swapaxes(1, 2))
-    eigenvalues = np.linalg.eigvalsh(sym)
-    gap = np.minimum(np.maximum(1.0 - eigenvalues[:, -2], 0.0), 2.0)
+    broken = ~np.isfinite(sym).all(axis=(1, 2))
+    eigenvalues = np.linalg.eigvalsh(np.where(broken[:, None, None], 0.0, sym))
+    gap = np.where(broken, math.nan, np.minimum(np.maximum(1.0 - eigenvalues[:, -2], 0.0), 2.0))
 
     flat_flows = (pi[:, :, None] * T).reshape(m, n * n)
     n_subsets = (1 << n) - 2
@@ -221,6 +223,7 @@ def spectral_quantities(c: FiniteChain) -> SpectralQuantities:
                 masses[chains, rows] = _row_sums(pi[chains].take(inside, axis=1))
                 flows[chains, rows] = _row_sums(flat_flows[chains].take(cut, axis=1))
 
+    flows[broken] = math.nan
     small = masses <= 0.5
     conductance = np.where(small.any(axis=1), _min_ratio(flows, masses, small), 1.0)
     return SpectralQuantities(*(_unstack(single, x) for x in (gap, conductance, masses, flows)))
@@ -315,12 +318,13 @@ class EvolveReport:
                                      self.max_lovasz_violation]) <= EXACT_TOL))
 
 
-def evolve_and_check(c: FiniteChain, mu0, n_steps: int) -> EvolveReport:
+def evolve_and_check(c: FiniteChain, mu0, n_steps: int, *, spectral=None) -> EvolveReport:
     """Iterate mu_{n+1} = mu_n T and verify warmness, chi², and mixing bounds.
 
     Checks, for every n <= n_steps: max(mu_n/pi) is non-increasing;
     chi²(mu_n || pi) <= 2·M0·TV(mu_n, pi); and the s-conductance mixing
     bound TV(mu_n, pi) <= M0·s + M0·exp(−C_s²·n/2) over :data:`S_GRID`.
+    ``spectral`` is the caller's ``spectral_quantities(c)``, computed here if None.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
@@ -328,7 +332,7 @@ def evolve_and_check(c: FiniteChain, mu0, n_steps: int) -> EvolveReport:
     mu = np.asarray(mu0, dtype=float)
     _check_shape("mu0", mu, np.shape(c.pi), np.shape(c.pi))
     _check_distribution(mu, "mu0")
-    spec = spectral_quantities(c)
+    spec = spectral_quantities(c) if spectral is None else spectral
     m, n = pi.shape
     # traj[k, t] is mu_t of chain k, each from the row before as a single
     # vector step would be.

@@ -36,6 +36,7 @@ sees every call.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -192,6 +193,56 @@ def _transition(p: Potential, h: float, X, rng, adjusted=True, carried=None):
     return Y, value_y, grad_y, accepted, log_ratios
 
 
+class _DrawAhead:
+    """``rng``'s draws for batched MALA steps on (n, d), made one step ahead.
+
+    A step asks for ``_transition``'s draws in its order, the n×d normals in row
+    blocks, then n uniforms, or raises. It is served views of one of two buffers
+    while a helper thread, calling only the generator, fills the other with the
+    next step's. ``with`` exit joins it and puts ``rng`` after the draws served.
+    """
+
+    def __init__(self, rng, n: int, d: int):
+        self._rng, self._n, self._d, self._pool = rng, n, d, ThreadPoolExecutor(1)
+        self._buffers = [(np.empty((n, d)), np.empty(n)) for _ in range(2)]
+        # Buffer served, rows served (None between steps), state before each buffer.
+        self._i, self._row, self._states = 1, None, [None, None]
+        self._draw_ahead()
+
+    def _draw_ahead(self):
+        self._states[1 - self._i] = self._rng.bit_generator.state
+        normals, uniforms = self._buffers[1 - self._i]
+        self._ahead = self._pool.submit(
+            lambda: (self._rng.standard_normal(out=normals), self._rng.random(out=uniforms)))
+
+    def standard_normal(self, shape):
+        if self._row is None:
+            self._ahead.result()
+            self._i, self._row = 1 - self._i, 0
+            self._draw_ahead()
+        start = self._row
+        if len(shape) != 2 or shape[1] != self._d or not 0 < shape[0] <= self._n - start:
+            raise ValueError(f"normals of shape {shape} off a step's schedule")
+        self._row += shape[0]
+        return self._buffers[self._i][0][start:self._row]
+
+    def random(self, size):
+        if not size == self._row == self._n:
+            raise ValueError(f"{size} uniforms off a step's schedule")
+        self._row = None
+        return self._buffers[self._i][1]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._pool.shutdown()
+        mid = self._row is not None  # a step left mid-way: its normals served are redrawn
+        self._rng.bit_generator.state = self._states[self._i if mid else 1 - self._i]
+        if mid:
+            self._rng.standard_normal(out=self._buffers[self._i][0][:self._row])
+
+
 def ou_exact_step(h: float, x, rng) -> np.ndarray:
     """Exact time-h Ornstein-Uhlenbeck transition for the Gaussian target.
 
@@ -312,9 +363,7 @@ def run_chain(
             if thin > 0 and step % thin == 0:
                 snapshots.append(x)
     return ChainSummary(
-        final_x=x,
-        n_steps=n_steps,
-        n_accepted=n_accepted,
+        final_x=x, n_steps=n_steps, n_accepted=n_accepted,
         acceptance_rate=n_accepted / n_steps if n_steps else None,
         mean_sq_displacement_coord1=sq_disp_total / n_steps if n_steps else None,
         trajectory=(np.array(snapshots).reshape(len(snapshots), -1)
@@ -333,7 +382,8 @@ def batch_mala_update(p: Potential, h: float, X, rng):
     _check_step(h)
     X = np.asarray(X, dtype=float)
     Y, _, _, accepted, log_ratios = _transition(p, h, X, rng)
-    return np.where(accepted[:, None], Y, X), accepted, log_ratios
+    np.copyto(Y, X, where=~accepted[:, None])  # Y is the transition's own array
+    return Y, accepted, log_ratios
 
 
 _TABLE_CACHE: dict[tuple, oracle1d.CDFTable] = {}

@@ -322,12 +322,12 @@ def _chain_measures(c: finite_chain.FiniteChain):
             sp.gap - sp.conductance**2 / 8.0, 2.0 * sp.conductance - sp.gap, sp)
 
 
-def _warm_start_violations(c: finite_chain.FiniteChain) -> tuple:
+def _warm_start_violations(c: finite_chain.FiniteChain, **spectral) -> tuple:
     """Warmness, chi-squared and Lovász violations over 50 steps from each
-    chain's lightest state."""
+    chain's lightest state; ``spectral=`` is passed on to evolve_and_check."""
     mu0 = np.zeros_like(c.pi)
     mu0[np.arange(len(mu0)), np.argmin(c.pi, axis=1)] = 1.0
-    rep = finite_chain.evolve_and_check(c, mu0, 50)
+    rep = finite_chain.evolve_and_check(c, mu0, 50, **spectral)
     return rep.max_warm_violation, rep.max_chi2_violation, rep.max_lovasz_violation
 
 
@@ -414,7 +414,8 @@ def finite_selftest_rows(n_instances: int, seed: int):
 
     def chain_columns(pi, Q):
         c = finite_chain.metropolize(Q, pi)
-        return (*_chain_measures(c)[:4], *_warm_start_violations(c))
+        *measures, sp = _chain_measures(c)
+        return (*measures, *_warm_start_violations(c, spectral=sp))
 
     chain = _by_size(chains, chain_columns)
     columns = (*chain[:4], *_by_size(triples, _projection_excess), *chain[4:])

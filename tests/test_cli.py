@@ -49,8 +49,8 @@ class TestVerifyCommand:
 
         def faulty(pi, Q, T):
             T = T.copy()
-            T[0, 1] += fault
-            T[0, 0] -= fault
+            T[..., 0, 1] += fault
+            T[..., 0, 0] -= fault
             return chain(pi=pi, Q=Q, T=T)
 
         monkeypatch.setattr(finite_chain, "FiniteChain", faulty)
@@ -162,6 +162,20 @@ class TestSweeps:
 
         assert len(instances(0)) == 5
         assert not instances(0) & instances(1)
+
+    def test_finite_selftest_enumerates_each_stack_once(self, monkeypatch):
+        # 30 instances fall into 8 state counts; the Cheeger rows and the warm
+        # start share each stack's spectral quantities.
+        calls = []
+        spectral_quantities = finite_chain.spectral_quantities
+
+        def counted(c):
+            calls.append(c.n)
+            return spectral_quantities(c)
+
+        monkeypatch.setattr(finite_chain, "spectral_quantities", counted)
+        verify.finite_selftest_rows(30, 7)
+        assert sorted(calls) == sorted(set(calls)) and len(calls) == 8
 
     def test_threads_do_not_change_bytes(self, tmp_path):
         args = ["sweep-accept", "--seed", "8",

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -692,3 +694,121 @@ class TestMixedDecision:
         assert steps == {"exact": 0, "far": max_steps}.get(start, steps)
         if start in ("warm-half", "origin"):
             assert 0 < steps < max_steps
+
+
+class TestDrawAhead:
+    """mixing_time_measure draws each step's normals one step ahead on a
+    helper thread; counts, the generator's final state and the thread count
+    are those of the step-by-step loop."""
+
+    # (d, h, start scale or far start, eps, max_steps, count): mixed at step 1,
+    # or censored. d = 16 is one row block of 2048 replicas, d = 64 four.
+    CASES = pytest.mark.parametrize("d, h, start, eps, max_steps, count", [
+        (16, 0.5, 0.95, 0.03, 50, 1), (64, 0.5, 0.9, 0.047, 50, 1),
+        (16, 1e-6, None, 0.01, 3, 3), (64, 1e-6, None, 0.01, 3, 3),
+    ], ids=["d16-mixed", "d64-mixed", "d16-censored", "d64-censored"])
+
+    @staticmethod
+    def _sampler(d, start):
+        if start is None:
+            return lambda n, rng: np.full((n, d), 20.0)
+        return lambda n, rng: start * rng.standard_normal((n, d))
+
+    @CASES
+    def test_count_matches_the_reference_loop(self, d, h, start, eps, max_steps, count):
+        sampler = self._sampler(d, start)
+        steps = mixing_time_measure(gaussian(d), h, sampler, eps, max_steps, 2048, seed=39)
+        assert steps == count
+        assert steps == _mixing_steps_reference(gaussian(d), h, sampler, eps, max_steps,
+                                                2048, 39)
+
+    @CASES
+    def test_a_generator_seed_ends_where_the_reference_leaves_it(
+            self, d, h, start, eps, max_steps, count):
+        sampler = self._sampler(d, start)
+        ours, theirs = substream(40, "mix-cell"), substream(40, "mix-cell")
+        assert (mixing_time_measure(gaussian(d), h, sampler, eps, max_steps, 2048, ours)
+                == _mixing_steps_reference(gaussian(d), h, sampler, eps, max_steps,
+                                           2048, theirs))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("d", [16, 64])
+    def test_no_thread_outlives_a_return_or_a_raise(self, d):
+        sampler = self._sampler(d, math.sqrt(0.5))
+        before = threading.active_count()
+        mixing_time_measure(gaussian(d), 0.15, sampler, 0.05, 3, 2048, seed=41)
+        assert threading.active_count() == before
+        # h = 1e300 makes the first step's log ratios non-finite after its
+        # normals are drawn; the generator still ends where the loop's does.
+        ours, theirs = substream(42, "mix-cell"), substream(42, "mix-cell")
+        for rng, measure in ((ours, mixing_time_measure), (theirs, _mixing_steps_reference)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(FloatingPointError, match="non-finite"):
+                    measure(gaussian(d), 1e300, sampler, 0.05, 3, 2048, rng)
+        assert threading.active_count() == before
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_a_request_off_the_schedule_raises(self):
+        n, d = 8, 3
+        requests = [
+            [("random", n)],  # uniforms before the normals
+            [("standard_normal", (n, d + 1))],  # a row of the wrong length
+            [("standard_normal", (n * d,))],  # not rows
+            [("standard_normal", (5, d)), ("standard_normal", (4, d))],  # past n rows
+            [("standard_normal", (5, d)), ("random", n)],  # uniforms before the last rows
+            [("standard_normal", (n, d)), ("random", n - 1)],  # too few uniforms
+            [("standard_normal", (n, d)), ("random", n), ("random", n)],  # twice
+        ]
+        for schedule in requests:
+            rng, reference = substream(43, "off"), substream(43, "off")
+            with pytest.raises(ValueError, match="schedule"):
+                with kernels._DrawAhead(rng, n, d) as ahead:
+                    for method, arg in schedule:
+                        served = getattr(ahead, method)(arg)
+                        assert np.array_equal(served, getattr(reference, method)(arg))
+            assert rng.bit_generator.state == reference.bit_generator.state
+        rng, reference = substream(44, "on"), substream(44, "on")
+        with kernels._DrawAhead(rng, n, d) as ahead:
+            for _ in range(3):
+                for rows in (3, 5):
+                    assert np.array_equal(ahead.standard_normal((rows, d)),
+                                          reference.standard_normal((rows, d)))
+                assert np.array_equal(ahead.random(n), reference.random(n))
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_concurrent_adapters_under_a_short_switch_interval(self):
+        # More adapters than cores, as mix --threads runs its cells, with the
+        # interpreter switching threads as often as it can.
+        n, d, steps = 64, 5, 40
+
+        def serve(seed, out):
+            rng = substream(seed, "stress")
+            with kernels._DrawAhead(rng, n, d) as ahead:
+                for _ in range(steps):
+                    out.append(np.concatenate([ahead.standard_normal((rows, d)).ravel()
+                                               for rows in (40, 24)]))
+                    out.append(ahead.random(n).copy())
+            out.append(rng.random())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            served = [[] for _ in range(4)]
+            workers = [threading.Thread(target=serve, args=(45 + k, served[k]))
+                       for k in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+                assert not w.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for k, out in enumerate(served):
+            reference = substream(45 + k, "stress")
+            expected = [x for _ in range(steps) for x in (
+                reference.standard_normal(n * d), reference.random(n))]
+            assert len(out) == 2 * steps + 1
+            assert all(np.array_equal(a, b) for a, b in zip(out, expected))
+            assert out[-1] == reference.random()
+

@@ -176,3 +176,33 @@ def test_a_nan_on_one_chain_fails_its_row(monkeypatch, attr, field, row):
     monkeypatch.setattr(finite_chain, attr,
                         _nan_at_first_chain(field)(getattr(finite_chain, attr)))
     assert not _slacks()[row] >= 0.0
+
+
+def _nan_diagonal(T, Q):
+    T[..., 0, 0] = np.nan
+    return T
+
+
+def test_a_nan_kernel_fails_its_rows_instead_of_raising(monkeypatch):
+    # eigvalsh cannot take a NaN; the chain's spectral quantities read NaN
+    # instead, and every row is still written. Only the off-diagonal metric
+    # does not read T[0, 0].
+    monkeypatch.setattr(finite_chain, "FiniteChain", _kernel_fault(_nan_diagonal))
+    slacks = _slacks()
+    assert sorted(slacks) == sorted(LEDGER)
+    passing = {row for row, slack in slacks.items() if slack >= 0.0}
+    assert passing == {"finite_two_state_offdiag_l1"}
+
+
+def test_nan_spectral_quantities_only_on_the_chain_that_is_not_finite():
+    rng = np.random.default_rng(0)
+    chains = [finite_chain.random_reversible_chain(5, rng) for _ in range(3)]
+    pi, T = np.stack([c.pi for c in chains]), np.stack([c.T for c in chains])
+    T[1, 2, 3] = np.inf
+    sp = finite_chain.spectral_quantities(CHAIN(pi=pi, Q=T, T=T))
+    assert np.isnan(sp.gap[1]) and np.isnan(sp.conductance[1])
+    assert np.isnan(sp.subset_flows[1]).all() and np.isnan(sp.s_conductance(0.1)[1])
+    for k in (0, 2):
+        single = finite_chain.spectral_quantities(chains[k])
+        assert sp.gap[k] == single.gap and sp.conductance[k] == single.conductance
+        assert np.array_equal(sp.subset_flows[k], single.subset_flows)

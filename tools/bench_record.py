@@ -15,8 +15,8 @@ alternates from seed to seed, so a drift of the machine falls on both
 alike. Then each checkout makes one ``--trace 1`` run of each workload.
 Runs are sequential, so no run of this script competes with a timed one.
 
-The file holds the machine (nproc, platform, python, numpy and scipy
-versions) and, per checkout, its git revision and per workload: every
+The file holds the machine (nproc, the CPUs this process may use and the
+cgroup's cpu.max where readable, platform, python, numpy and scipy versions) and, per checkout, its git revision and per workload: every
 run's seed, ``correct`` and ``failed`` counts and end-to-end metrics; the
 q1/median/q3 of each end-to-end metric; and the per-layer metrics of the traced run. A summary of the medians is
 printed. Uses the standard library only.
@@ -72,9 +72,19 @@ def machine() -> dict:
         except importlib.metadata.PackageNotFoundError:
             return None
 
-    return {"nproc": os.cpu_count(), "platform": platform.platform(),
-            "python": platform.python_version(), "numpy": version("numpy"),
-            "scipy": version("scipy")}
+    def cgroup_cpu_max():
+        # "QUOTA PERIOD" in microseconds, or "max PERIOD"; None where unreadable.
+        try:
+            with open("/sys/fs/cgroup/cpu.max", encoding="utf-8") as fh:
+                return fh.read().strip()
+        except OSError:
+            return None
+
+    # nproc is the host's count; a gain from a second core needs usable_cpus >= 2.
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
+    return {"nproc": os.cpu_count(), "usable_cpus": usable, "cgroup_cpu_max": cgroup_cpu_max(),
+            "platform": platform.platform(), "python": platform.python_version(),
+            "numpy": version("numpy"), "scipy": version("scipy")}
 
 
 def quartiles(values: list[float]) -> dict:

@@ -19,8 +19,9 @@ Implemented observables:
 
 Every estimator returns a standard error so statistical claims can be
 asserted with a 3-SE margin; estimators derive their own RNG substreams
-from the given seed and reduce results in a fixed order, so they are
-deterministic and safe to parallelize externally.
+from the given seed, draw and reduce in a fixed order, and so are
+deterministic and safe to parallelize externally. Two run threads of their
+own and keep every bit: the acceptance blocks' arithmetic, the mix draws.
 
 The sliced TV of a law lower-bounds its full total variation in R^d, but an
 ensemble's estimate adds a finite-sample noise floor, so a measured mixing
@@ -32,7 +33,9 @@ finitely many sampled states, never a supremum over the event.
 
 from __future__ import annotations
 
+import contextvars
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -68,26 +71,47 @@ def _sup_bound(d: int) -> float:
     return 4.0 * math.sqrt(math.log(8.0 * d))
 
 
-def _acceptance_values(p: Potential, h: float, x, n_mc: int, rng) -> np.ndarray:
-    """min(1, a(x, y)) for n_mc proposals y ~ Q_x, in blocks of rows.
+# Acceptance worker threads, and the most row blocks drawn ahead of them.
+_ACCEPT_WORKERS = 2
+_ACCEPT_AHEAD = 4
 
-    V(x) and ∇V(x) are evaluated once; each proposal costs one evaluation of
-    V and ∇V at y. A non-finite log ratio raises FloatingPointError.
-    Blocks hold ``kernels._BLOCK_ELEMENTS`` elements, the block size of
-    ``batch_mala_update``, so that a block's temporaries together stay in a
-    2 MiB L2 cache; rows are drawn in order, so the block size moves no draw.
-    """
+
+def _acceptance_block(p: Potential, h: float, x, value_x, grad_x, noise, out) -> None:
+    *_, log_ratios = kernels._propose_and_ratio(p, h, x, value_x, grad_x, noise)
+    out[:] = np.exp(np.minimum(kernels._require_finite(log_ratios), 0.0))
+
+
+def _wait_for_blocks(drawn: list, keep: int) -> None:
+    while len(drawn) > keep:
+        future, rng, state = drawn.pop(0)
+        if future.exception() is not None:  # a serial loop stops after its normals
+            rng.bit_generator.state = state
+        future.result()
+
+
+def _acceptance_values(p: Potential, h: float, X, n_mc: int, rngs) -> np.ndarray:
+    """min(1, a(x, y)) for n_mc proposals y ~ Q_x from each row x of X, drawn
+    from the matching generator of ``rngs``; V and ∇V are evaluated once at x
+    and once at each y. This thread draws the normals of every block of
+    ``kernels._BLOCK_ELEMENTS`` elements in order, at most ``_ACCEPT_AHEAD``
+    ahead; ``_ACCEPT_WORKERS`` threads, joined on return, compute each into
+    its own slice in a copy of this context (numpy's errstate). No draw or bit
+    moves: a non-finite log ratio raises FloatingPointError and leaves a
+    Generator after the failing block's normals, where a serial loop stops."""
     kernels._check_step(h)
-    x = np.asarray(x, dtype=float)
-    d = x.shape[-1]
-    value_x, grad_x = p.value_and_grad(x)
-    chunk = kernels._block_rows(d)
-    out = np.empty(n_mc)
-    for done in range(0, n_mc, chunk):
-        m = min(chunk, n_mc - done)
-        *_, log_ratios = kernels._propose_and_ratio(p, h, x, value_x, grad_x, rng, (m, d))
-        kernels._require_finite(log_ratios)
-        out[done : done + m] = np.exp(np.minimum(log_ratios, 0.0))
+    chunk = kernels._block_rows(X.shape[1])
+    out = np.empty((len(X), n_mc))
+    drawn = []  # (future, generator, its state after the block's normals)
+    with ThreadPoolExecutor(_ACCEPT_WORKERS) as pool:
+        for x, rng, values in zip(X, rngs, out):
+            value_x, grad_x = p.value_and_grad(x)
+            for done in range(0, n_mc, chunk):
+                _wait_for_blocks(drawn, _ACCEPT_AHEAD - 1)
+                noise = rng.standard_normal((min(chunk, n_mc - done), len(x)))
+                future = pool.submit(contextvars.copy_context().run, _acceptance_block, p, h,
+                                     x, value_x, grad_x, noise, values[done:done + len(noise)])
+                drawn.append((future, rng, rng.bit_generator.state))
+        _wait_for_blocks(drawn, 0)
     return out
 
 
@@ -96,7 +120,7 @@ def acceptance_at(p: Potential, h: float, x, n_mc: int, seed) -> EstimateWithSE:
     if n_mc < 1:
         raise ValueError("n_mc must be >= 1")
     rng = substream(seed, "acceptance-at")
-    return _mean_se(_acceptance_values(p, h, x, n_mc, rng))
+    return _mean_se(_acceptance_values(p, h, np.asarray(x, dtype=float)[None], n_mc, [rng])[0])
 
 
 def rejection_probability(p: Potential, h: float, x, n_mc: int, seed) -> EstimateWithSE:
@@ -133,8 +157,8 @@ def mean_acceptance(
     Draws ``n_states`` exact samples from the target, drops those outside
     the typical-set event ||x||_inf < 4·sqrt(ln(8d)) (the dropped fraction
     is reported), and estimates A(x) per surviving state with ``n_mc``
-    proposals. The standard error is the between-state SE of the per-state
-    means, which accounts for both sampling layers.
+    proposals, all states' blocks in one pipeline on two worker threads. The
+    SE is the between-state SE of the per-state means (both sampling layers).
     """
     if n_states < 2 or n_mc < 1:
         raise ValueError("need n_states >= 2 and n_mc >= 1")
@@ -144,10 +168,8 @@ def mean_acceptance(
     X = X[keep]
     if len(X) < 2:
         raise ValueError("typical-set filter removed almost every state")
-    per_state = np.empty(len(X))
-    for i, x in enumerate(X):
-        rng = substream(seed, "proposals", i)
-        per_state[i] = _acceptance_values(p, h, x, n_mc, rng).mean()
+    rngs = (substream(seed, "proposals", i) for i in range(len(X)))
+    per_state = [values.mean() for values in _acceptance_values(p, h, X, n_mc, rngs)]
     return AcceptanceEstimate(estimate=_mean_se(per_state), n_states=len(X), n_mc=n_mc,
                               filter_rejected_fraction=rejected_fraction)
 

@@ -11,10 +11,9 @@ accept-reject step using
                   + (||y − x + h·∇V(x)||² − ||x − y + h·∇V(y)||²) / (4h),
 
 and rejection leaves the state bitwise unchanged (the kernel keeps an atom
-at x). ULA runs the same proposal unadjusted. The one-step references are
-the exact Ornstein-Uhlenbeck kernel N(e^{−h}·x, (1 − e^{−2h})·I_d), the
-time-h Langevin law of the Gaussian target, and a fine Euler path for
-general targets; :func:`run_chain` drives MALA and ULA only.
+at x). ULA runs the same proposal unadjusted. :func:`run_chain` drives MALA
+and ULA; the exact Ornstein-Uhlenbeck kernel N(e^{−h}·x, (1 − e^{−2h})·I_d),
+the Gaussian target's time-h Langevin law, is the one-step reference.
 
 One private transition moves a single chain's point (d,) and the rows
 (n, d) of an ensemble alike. A chain carries V and ∇V at its state, so a
@@ -111,17 +110,15 @@ def _log_ratio_parts(h, x, value_x, grad_x, y, value_y, grad_y):
     return (value_x - value_y) + (forward - backward) / (4.0 * h)
 
 
-def _propose_and_ratio(p: Potential, h: float, x, value_x, grad_x, rng, shape):
+def _propose_and_ratio(p: Potential, h: float, x, value_x, grad_x, noise):
     """MALA proposal from x with V and ∇V at both ends and log a(x, y).
 
     ``value_x`` and ``grad_x`` are the caller's cached V(x) and ∇V(x), so x
-    is never re-evaluated. The proposal y = (x − h·∇V(x)) + sqrt(2h)·xi uses
-    one standard normal block xi of ``shape`` from ``rng``, its only draw; a
-    single x (d,) may stand against m rows, shape (m, d). The block is freed
-    before V(y) and ∇V(y) are evaluated, so it adds nothing to peak memory.
-    Returns (y, V(y), ∇V(y), log a).
+    is never re-evaluated. y = (x − h·∇V(x)) + sqrt(2h)·``noise``, the
+    caller's standard normal block; a single x (d,) may stand against m
+    rows, shape (m, d). Returns (y, V(y), ∇V(y), log a).
     """
-    y = _langevin_proposal(h, x, grad_x, rng.standard_normal(shape))
+    y = _langevin_proposal(h, x, grad_x, noise)
     value_y, grad_y = p.value_and_grad(y)
     return y, value_y, grad_y, _log_ratio_parts(h, x, value_x, grad_x, y, value_y, grad_y)
 
@@ -179,7 +176,7 @@ def _transition(p: Potential, h: float, X, rng, adjusted=True, carried=None):
             Y = _langevin_proposal(h, X, grad_x, rng.standard_normal(X.shape))
             return Y, None, p.grad(Y), True, None
         Y, value_y, grad_y, log_ratios = _propose_and_ratio(
-            p, h, X, value_x, grad_x, rng, X.shape)
+            p, h, X, value_x, grad_x, rng.standard_normal(X.shape))
     else:
         Y, value_y, grad_y, log_ratios = np.empty_like(X), None, None, np.empty(len(X))
         for start in range(0, len(X), rows):
@@ -187,7 +184,7 @@ def _transition(p: Potential, h: float, X, rng, adjusted=True, carried=None):
             x = X[block]
             value_x, grad_x = p.value_and_grad(x)
             Y[block], _, _, log_ratios[block] = _propose_and_ratio(
-                p, h, x, value_x, grad_x, rng, x.shape)
+                p, h, x, value_x, grad_x, rng.standard_normal(x.shape))
     _require_finite(log_ratios)
     accepted = np.log(_uniform_open(rng, None if X.ndim == 1 else len(X))) <= log_ratios
     return Y, value_y, grad_y, accepted, log_ratios
@@ -254,24 +251,6 @@ def ou_exact_step(h: float, x, rng) -> np.ndarray:
     decay = math.exp(-h)
     sigma = math.sqrt(-math.expm1(-2.0 * h))
     return decay * x + sigma * rng.standard_normal(x.shape)
-
-
-def diffusion_reference_step(
-    p: Potential, h: float, x, substeps: int, rng
-) -> np.ndarray:
-    """Endpoint of an Euler path with ``substeps`` inner steps of size h/substeps.
-
-    Approximates the time-h law of dX = −∇V(X) dt + sqrt(2) dB started at x;
-    substeps=1 coincides with the MALA proposal. Accepts batches (..., d).
-    """
-    _check_step(h)
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
-    x = np.asarray(x, dtype=float).copy()
-    dt = h / substeps
-    for _ in range(substeps):
-        x = _langevin_proposal(dt, x, p.grad(x), rng.standard_normal(x.shape))
-    return x
 
 
 @dataclass(frozen=True)

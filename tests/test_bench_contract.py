@@ -13,6 +13,7 @@ import importlib
 import importlib.util
 import inspect
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ import pytest
 
 from malalab import cli, diagnostics, kernels, verify
 from malalab.oracle1d import CDFTable
-from malalab.potentials import Potential, gaussian
+from malalab.potentials import Potential, adversarial_cosine, gaussian
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -86,6 +87,29 @@ def test_the_batched_mala_patches_reach_every_step_and_block(monkeypatch):
     assert steps == len(rows_per_update) == 3
     assert [sum(rows) for rows in rows_per_update] == [n] * steps
     assert all(len(rows) > 1 for rows in rows_per_update)  # n spans several blocks
+
+
+@pytest.mark.parametrize("attr", ["_log_ratio_parts", "value"])
+def test_the_collapse_faults_reach_the_acceptance_worker_threads(selftest, monkeypatch,
+                                                                  attr):
+    # The selftest's "+0.05" and "drops the cosine" faults must move
+    # mean_acceptance's estimate, whose blocks run on worker threads. This
+    # stands in for the selftest's collapse expectations, which take about 90 s.
+    _, owner, _, patch, expected = next(m for m in selftest.MUTATIONS if m[2] == attr)
+    assert "collapse" in expected
+    d = 2**12
+    p, h = adversarial_cosine(d, 0.2), d**-0.4
+    clean = diagnostics.mean_acceptance(p, h, 3, 64, seed=60).estimate
+    faulty, threads = patch(getattr(owner, attr)), set()
+
+    def seen(*args):
+        threads.add(threading.current_thread())
+        return faulty(*args)
+
+    monkeypatch.setattr(owner, attr, seen)
+    moved = diagnostics.mean_acceptance(p, h, 3, 64, seed=60).estimate
+    assert abs(moved.value - clean.value) > 0.5 * clean.std_error
+    assert threads - {threading.main_thread()}
 
 
 @pytest.mark.parametrize("d", [1, 3])

@@ -181,19 +181,129 @@ class TestAcceptancePathBudget:
     def test_one_evaluation_at_each_state_and_proposal(self, monkeypatch, d, n_states,
                                                        n_mc):
         # Rows of V and of ∇V seen by mean_acceptance: one per kept state and
-        # one per proposal, so ∇V(x) is never broadcast to the proposals.
-        rows = {"value": 0, "grad": 0}
+        # one per proposal, so ∇V(x) is never broadcast to the proposals. The
+        # proposals are evaluated on worker threads, so the count takes a lock.
+        rows, lock = {"value": 0, "grad": 0}, threading.Lock()
         for name in rows:
             original = getattr(Potential, name)
 
             def counted(self, x, _name=name, _original=original):
-                rows[_name] += np.size(x) // self.d
+                with lock:
+                    rows[_name] += np.size(x) // self.d
                 return _original(self, x)
 
             monkeypatch.setattr(Potential, name, counted)
         res = mean_acceptance(adversarial_cosine(d, 0.2), d**-0.4, n_states, n_mc, seed=33)
         expected = res.n_states * (res.n_mc + 1)
         assert rows == {"value": expected, "grad": expected}
+
+
+def _serial_acceptance_values(p, h, x, n_mc, rng):
+    """The composed path on one thread in the acceptance path's blocks of
+    kernels._block_rows(d) rows, each drawn, then checked: a raise leaves the
+    generator just after the failing block's normals."""
+    chunk = kernels._block_rows(len(x))
+    return np.concatenate([_composed_acceptance_values(p, h, x, min(chunk, n_mc - done), rng)
+                           for done in range(0, n_mc, chunk)])
+
+
+def _serial_mean_acceptance(p, h, n_states, n_mc, seed):
+    """Per-state means of mean_acceptance, state by state on one thread."""
+    X = kernels.sample_separable_target(p, n_states, substream(seed, "states"))
+    X = X[np.max(np.abs(X), axis=1) < dg._sup_bound(p.d)]
+    return [_serial_acceptance_values(p, h, x, n_mc, substream(seed, "proposals", i)).mean()
+            for i, x in enumerate(X)]
+
+
+class TestAcceptanceWorkers:
+    """The acceptance path computes its blocks on worker threads. The threads
+    end with the call, and a raise leaves a Generator seed where the serial
+    loop leaves it, though blocks after the failing one were already drawn."""
+
+    # At d = 4096 a block holds 8 rows, so 64 proposals are 8 blocks a state,
+    # and a block's error is seen only once the next three are drawn.
+    D, N_MC = 4096, 64
+
+    def _raise_both(self, estimator, h, seed):
+        ours, theirs = substream(seed, "cell"), substream(seed, "cell")
+        p, x = gaussian(self.D), np.ones(self.D)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="non-finite"):
+                if estimator == "acceptance_at":
+                    acceptance_at(p, h, x, self.N_MC, ours)
+                else:
+                    mean_acceptance(p, h, 12, self.N_MC, ours)
+            with pytest.raises(FloatingPointError, match="non-finite"):
+                if estimator == "acceptance_at":
+                    _serial_acceptance_values(p, h, x, self.N_MC, theirs)
+                else:
+                    _serial_mean_acceptance(p, h, 12, self.N_MC, theirs)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("estimator", ["acceptance_at", "mean_acceptance"])
+    def test_a_raise_leaves_a_generator_where_the_serial_loop_does(self, estimator):
+        # h = 1e300 makes the first block's log ratios non-finite.
+        self._raise_both(estimator, 1e300, 50)
+
+    def test_a_later_block_raising_leaves_the_generator_after_its_normals(
+            self, monkeypatch):
+        # A ratio fault keyed on a block's first proposal row, so that the
+        # failing block is the same in both loops and is not the first.
+        ratio, blocks = kernels._log_ratio_parts, []
+
+        def faulty(h, x, value_x, grad_x, y, value_y, grad_y):
+            blocks.append(threading.current_thread())
+            out = ratio(h, x, value_x, grad_x, y, value_y, grad_y)
+            return out + np.nan if np.ndim(y) == 2 and y[0, 0] - x[0] > 0.55 else out
+
+        monkeypatch.setattr(kernels, "_log_ratio_parts", faulty)
+        self._raise_both("mean_acceptance", self.D**-0.4, 51)
+        serial = [t for t in blocks if t is threading.main_thread()]
+        assert 8 < len(serial) < 12 * 8 - 3  # not state 0's, three blocks drawn after it
+        assert len(blocks) > len(serial)  # the threaded loop's blocks ran elsewhere
+
+    def test_no_thread_outlives_a_return_or_a_raise(self):
+        before = threading.active_count()
+        mean_acceptance(gaussian(self.D), self.D**-0.4, 3, self.N_MC, seed=52)
+        acceptance_at(gaussian(self.D), self.D**-0.4, np.ones(self.D), self.N_MC, seed=52)
+        assert threading.active_count() == before
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="non-finite"):
+                mean_acceptance(gaussian(self.D), 1e300, 3, self.N_MC, seed=52)
+        assert threading.active_count() == before
+
+    def test_a_callers_errstate_reaches_the_workers(self):
+        # Under over="raise" the overflow of V(y) at h = 1e300 raises numpy's
+        # own FloatingPointError in the worker, before the ratio is checked.
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                acceptance_at(gaussian(self.D), 1e300, np.ones(self.D), self.N_MC, seed=53)
+
+    def test_concurrent_calls_under_a_short_switch_interval(self):
+        # More calls than cores, as sweep cells run under --threads, each with
+        # its own pool, with the interpreter switching threads as often as it can.
+        p, h = adversarial_cosine(self.D, 0.2), self.D**-0.4
+        results = {}
+
+        def estimate(seed):
+            res = mean_acceptance(p, h, 3, self.N_MC, seed=seed)
+            results[seed] = (res.estimate.value, res.estimate.std_error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=estimate, args=(54 + k,)) for k in range(4)]
+            for c in callers:
+                c.start()
+            for c in callers:
+                c.join(timeout=120)
+                assert not c.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for seed in range(54, 58):
+            assert results[seed] == _mean_and_se(
+                _serial_mean_acceptance(p, h, 3, self.N_MC, seed))
 
 
 EXTREME_INPUTS = pytest.mark.parametrize("p, h, x", [

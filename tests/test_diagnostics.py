@@ -225,19 +225,17 @@ class TestAcceptanceWorkers:
     D, N_MC = 4096, 64
 
     def _raise_both(self, estimator, h, seed):
+        # The estimator and its serial reference, on equal Generator seeds.
+        p, x, n_mc = gaussian(self.D), np.ones(self.D), self.N_MC
+        runs = {"acceptance_at": (lambda rng: acceptance_at(p, h, x, n_mc, rng),
+                                  lambda rng: _serial_acceptance_values(p, h, x, n_mc, rng)),
+                "mean_acceptance": (lambda rng: mean_acceptance(p, h, 12, n_mc, rng),
+                                    lambda rng: _serial_mean_acceptance(p, h, 12, n_mc, rng))}
         ours, theirs = substream(seed, "cell"), substream(seed, "cell")
-        p, x = gaussian(self.D), np.ones(self.D)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(FloatingPointError, match="non-finite"):
-                if estimator == "acceptance_at":
-                    acceptance_at(p, h, x, self.N_MC, ours)
-                else:
-                    mean_acceptance(p, h, 12, self.N_MC, ours)
-            with pytest.raises(FloatingPointError, match="non-finite"):
-                if estimator == "acceptance_at":
-                    _serial_acceptance_values(p, h, x, self.N_MC, theirs)
-                else:
-                    _serial_mean_acceptance(p, h, 12, self.N_MC, theirs)
+            for run, rng in zip(runs[estimator], (ours, theirs)):
+                with pytest.raises(FloatingPointError, match="non-finite"):
+                    run(rng)
         assert ours.bit_generator.state == theirs.bit_generator.state
         assert ours.random() == theirs.random()
 

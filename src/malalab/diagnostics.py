@@ -19,9 +19,9 @@ Implemented observables:
 
 Every estimator returns a standard error so statistical claims can be
 asserted with a 3-SE margin; estimators derive their own RNG substreams
-from the given seed, draw and reduce in a fixed order, and so are
-deterministic and safe to parallelize externally. Two run threads of their
-own and keep every bit: the acceptance blocks' arithmetic, the mix draws.
+from the given seed and draw and reduce in a fixed order, so they are
+deterministic and safe to parallelize externally. The acceptance estimators'
+block arithmetic and the mixing time's draws run on threads of their own.
 
 The sliced TV of a law lower-bounds its full total variation in R^d, but an
 ensemble's estimate adds a finite-sample noise floor, so a measured mixing

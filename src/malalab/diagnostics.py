@@ -2,13 +2,11 @@
 
 Implemented observables:
 
-* rejection probability at a state, which equals the total-variation
-  distance between the adjusted kernel and its proposal,
-  ||T_x − Q_x||_TV = 1 − ∫ Q(x, y) A(x, y) dy;
+* acceptance at a state, A(x) = E_{y~Q_x} min(1, a(x, y)), whose complement
+  1 − A(x) is the adjusted kernel's total variation ||T_x − Q_x||_TV from Q_x;
 * mean acceptance over exact stationary draws, restricted to the
   typical-set event ||x||_inf < 4·sqrt(ln(8d));
-* the Gaussian-target closed-form bound on the acceptance integrand
-  ∫ Q(x, y) A(x, y) dy, which drives the conductance collapse;
+* a closed-form bound on A(x) for the Gaussian target (conductance collapse);
 * a Dirichlet-form upper estimate of the spectral gap using the first
   coordinate as test function;
 * a generic one-sample TV estimator TV(P, Q) = E_P[(1 − q/p)_+];
@@ -36,7 +34,7 @@ from __future__ import annotations
 import contextvars
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -121,18 +119,6 @@ def acceptance_at(p: Potential, h: float, x, n_mc: int, seed) -> EstimateWithSE:
         raise ValueError("n_mc must be >= 1")
     rng = substream(seed, "acceptance-at")
     return _mean_se(_acceptance_values(p, h, np.asarray(x, dtype=float)[None], n_mc, [rng])[0])
-
-
-def rejection_probability(p: Potential, h: float, x, n_mc: int, seed) -> EstimateWithSE:
-    """Estimate of ||T_x − Q_x||_TV = 1 − A(x).
-
-    Shares its draws with :func:`acceptance_at` (same seed, same stream), so
-    the two estimates sum to 1 exactly per sample batch.
-    """
-    if n_mc < 100:
-        raise ValueError("n_mc must be >= 100")
-    acc = acceptance_at(p, h, x, n_mc, seed)
-    return replace(acc, value=1.0 - acc.value)
 
 
 @dataclass(frozen=True)
@@ -266,22 +252,22 @@ def projection_check_gaussian(
 
     Qbar is the exact OU kernel N(e^{−h}x, (1 − e^{−2h})·I) and Q the MALA
     proposal N((1 − h)x, 2h·I); states are exact stationary draws. The left
-    side is the mean rejection probability; the right side is estimated with
-    the one-sample TV estimator under Qbar. The inequality is asserted with
-    a 3-combined-SE margin. Requires h <= 1/3, the validity range of the
-    discretization bound backing this comparison.
+    side is the mean of 1 − A(x), A as in :func:`acceptance_at`; the right is
+    the one-sample TV estimator under Qbar. The inequality is asserted with a
+    3-combined-SE margin. Requires n_mc >= 100 and h <= 1/3, the validity
+    range of the discretization bound backing this comparison.
     """
     if not 0.0 < h <= 1.0 / 3.0:
         raise ValueError("projection check requires 0 < h <= 1/3")
-    p_target = gaussian(d)
+    if n_mc < 100:
+        raise ValueError("n_mc must be >= 100")
     states = substream(seed, "projection-states").standard_normal((n_states, d))
     ou_var = -math.expm1(-2.0 * h)
     decay = math.exp(-h)
-    lhs, rhs = np.empty(n_states), np.empty(n_states)
+    rngs = (substream(seed, "projection-reject", i) for i in range(n_states))
+    lhs = [1.0 - a.mean() for a in _acceptance_values(gaussian(d), h, states, n_mc, rngs)]
+    rhs = np.empty(n_states)
     for i, x in enumerate(states):
-        lhs[i] = rejection_probability(
-            p_target, h, x, n_mc, substream(seed, "projection-reject", i)
-        ).value
         mean_q = (1.0 - h) * x
         mean_ou = decay * x
 

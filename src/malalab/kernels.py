@@ -25,11 +25,9 @@ generators derived via :mod:`malalab.rng`, so equal seeds give bitwise-equal
 trajectories. Distinct chains share no mutable state; one generator must not
 be advanced concurrently.
 
-At d = 1, :func:`run_chain` runs MALA and ULA on Python floats, bitwise the
-array step's chain without numpy's per-call cost on (1,) arrays. V and ∇V
-still go through ``Potential.value``/``grad`` on a (1,) buffer, which
-evaluate a built-in target there on floats, so whatever wraps those methods
-sees every call.
+At d = 1, :func:`run_chain` runs MALA and ULA on Python floats, free of
+numpy's per-call cost on (1,) arrays; the chain is the array step's unless a
+log ratio falls in the last-bit gap between math.log(u) and np.log(u).
 """
 
 from __future__ import annotations
@@ -266,10 +264,12 @@ class ChainSummary:
 
 
 def _langevin_floats(p: Potential, h: float, start, n_steps, thin, adjusted):
-    """run_chain's MALA/ULA loop at d = 1 on floats, bitwise the array step's.
+    """run_chain's MALA/ULA loop at d = 1 on floats, with the array step's draws.
 
     The scalar standard_normal() draws the bits of shape (1,); t * t is
-    numpy's array square and (x − y) ** 2 its scalar power. V and ∇V come from
+    numpy's array square and (x − y) ** 2 its scalar power. The accept test's
+    math.log(u) is one ulp off the array step's np.log(u) for about 0.35 % of
+    uniforms, and a log ratio in that gap decides otherwise. V and ∇V come from
     ``p.value``/``p.grad`` on the (1,) buffer, where a class-level patch sees
     them and a built-in target is evaluated on floats. ULA evaluates ∇V alone:
     its ratio is never read. ``start`` is :func:`init_chain`'s result; returns

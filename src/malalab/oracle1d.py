@@ -137,16 +137,15 @@ def kl_gaussian_vs_adversarial(eta: float, d: int) -> float:
 
 
 def _coordinate_gaussian(
-    x1: float, h: float, eta: float, d: int, amplitude: float | None,
+    x1: float, h: float, eta: float, d: int,
 ) -> tuple[float, float, float, float]:
     """(amp, w, m, s) shared by the coordinate-factor oracles: y ~ N(m, s²)."""
     if not 0.0 < h < 1.0:
         raise ValueError(f"h must lie in (0, 1), got {h}")
     target = adversarial_cosine(d, eta)
-    amp = target.amp if amplitude is None else float(amplitude)
     m = (1.0 - h) * x1 / (1.0 + h * h)
     s = math.sqrt(2.0 * h / (1.0 + h * h))
-    return amp, target.w, m, s
+    return target.amp, target.w, m, s
 
 
 def _coordinate_exponent(y, x1, h, amp, w, sin_wy, cos_wy):
@@ -157,7 +156,7 @@ def _coordinate_exponent(y, x1, h, amp, w, sin_wy, cos_wy):
 
 
 def coordinate_factor(
-    x1: float, h: float, eta: float, d: int, amplitude: float | None = None,
+    x1: float, h: float, eta: float, d: int,
 ) -> float:
     """Per-coordinate acceptance factor of the collapse mechanism.
 
@@ -166,7 +165,7 @@ def coordinate_factor(
         E exp[ amp·cos(w·y) + ((1−h)·y − x1)·(amp·w/2)·sin(w·y)
                − (h/4)·(amp·w)²·sin²(w·y) ]
 
-    with w = d^eta and amp defaulting to 1/(2 d^{2·eta}), integrated to 1e-10
+    with w = d^eta and amp = 1/(2 d^{2·eta}), integrated to 1e-10
     (absolute) in the standardized variable y = m + s·xi, xi ~ N(0, 1).
 
     This is the y-dependent part of the per-coordinate MALA log ratio.
@@ -183,9 +182,7 @@ def coordinate_factor(
     is about e^{−1} for every d, so these terms are O(d^{−2·eta}); the
     second-order remainder ln F − L1 is the part of order d^{−4·eta}.
     """
-    amp, w, m, s = _coordinate_gaussian(x1, h, eta, d, amplitude)
-    if amp == 0.0:
-        return 1.0
+    amp, w, m, s = _coordinate_gaussian(x1, h, eta, d)
 
     def integrand(xi: float) -> float:
         y = m + s * xi
@@ -203,10 +200,9 @@ def coordinate_factor_first_order(x1: float, h: float, eta: float, d: int) -> fl
              + (amp·w/2)·[((1−h)·m − x1)·E sin(w·y) + (1−h)·s·E xi·sin(w·y)]
 
     Each expectation is a :func:`trig_sin_moment`, so L1 is independent of
-    the quadrature and carries the factor exp(−w²s²/2). amp is the default
-    1/(2 d^{2·eta}).
+    the quadrature and carries the factor exp(−w²s²/2).
     """
-    amp, w, m, s = _coordinate_gaussian(x1, h, eta, d, None)
+    amp, w, m, s = _coordinate_gaussian(x1, h, eta, d)
     # E[xi^ell·sin(a + w·s·xi)] with the phase a = w·m; cos(θ) = sin(θ + π/2).
     e_cos = trig_sin_moment(0, w * m + 0.5 * math.pi, w * s, 0.0, 1)
     e_sin = trig_sin_moment(0, w * m, w * s, 0.0, 1)

@@ -19,7 +19,6 @@ from malalab.diagnostics import (
     mean_acceptance,
     mixing_time_measure,
     projection_check_gaussian,
-    rejection_probability,
     sliced_tv_to_target,
     tv_mc_estimate,
 )
@@ -44,24 +43,18 @@ def rejection_quadrature_1d(h, x):
 
 
 class TestRejectionProbability:
+    """The rejection probability ||T_x − Q_x||_TV = 1 − A(x), from acceptance_at."""
+
     def test_tiny_step_rarely_rejects(self):
-        est = rejection_probability(gaussian(4), 1e-10, np.ones(4), 1000, seed=1)
-        assert est.value <= 0.01
+        est = acceptance_at(gaussian(4), 1e-10, np.ones(4), 1000, seed=1)
+        assert 1.0 - est.value <= 0.01
 
     def test_matches_1d_quadrature(self):
         h, x = 0.2, 1.0
-        est = rejection_probability(gaussian(1), h, np.array([x]), 40_000, seed=2)
-        assert est.value == pytest.approx(
+        est = acceptance_at(gaussian(1), h, np.array([x]), 40_000, seed=2)
+        assert 1.0 - est.value == pytest.approx(
             rejection_quadrature_1d(h, x), abs=3 * est.std_error
         )
-
-    def test_complement_identity_with_shared_draws(self):
-        p, h = adversarial_cosine(8, 0.2), 0.5
-        x = substream(3, "complement").standard_normal(8)
-        rej = rejection_probability(p, h, x, 500, seed=4)
-        acc = acceptance_at(p, h, x, 500, seed=4)
-        assert rej.value + acc.value == 1.0
-        assert rej.std_error == acc.std_error
 
     def test_lemma_style_rejection_ceiling(self):
         # Stationary Gaussian states at h = 0.5 d^{-1/3} keep rejection <= 1/6.
@@ -69,13 +62,9 @@ class TestRejectionProbability:
         h = 0.5 * d ** (-1.0 / 3.0)
         p = gaussian(d)
         X = kernels.sample_separable_target(p, 50, seed=5)
-        vals = [rejection_probability(p, h, x, 400, seed=substream(6, "ceiling", i)).value
+        vals = [1.0 - acceptance_at(p, h, x, 400, seed=substream(6, "ceiling", i)).value
                 for i, x in enumerate(X)]
         assert float(np.mean(vals)) <= 1.0 / 6.0
-
-    def test_minimum_sample_size(self):
-        with pytest.raises(ValueError):
-            rejection_probability(gaussian(2), 0.1, np.zeros(2), 50, seed=7)
 
 
 class TestMeanAcceptance:
@@ -535,6 +524,10 @@ class TestProjectionCheck:
     def test_step_size_validated(self):
         with pytest.raises(ValueError):
             projection_check_gaussian(0.5, 8, 10, 100, seed=26)
+
+    def test_minimum_sample_size(self):
+        with pytest.raises(ValueError, match="n_mc must be >= 100"):
+            projection_check_gaussian(0.1, 2, 10, 50, seed=7)
 
     def test_report_fails_on_a_nan_or_a_violation(self):
         def report(lhs, threshold):

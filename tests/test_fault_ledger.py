@@ -1,10 +1,11 @@
-"""Every finite-chain row of ``verify`` can fail: one named fault per row.
+"""Every finite-chain and kernel row of ``verify`` can fail: one named fault per row.
 
-Each fault is a plausible one-line bug in the finite-chain testbed, patched
-in for a single ``finite_chain_checks`` run; the row it is listed under must
-then report a negative slack. The unpatched run is the control, and the
-ledger must name every row the group reports. No bound is changed to make a
-row flip. Findings:
+Each fault is a plausible one-line bug in the finite-chain testbed or the
+kernels, patched in for a single run of its row's group
+(``finite_chain_checks`` or ``kernel_checks``); the row it is listed under
+must then report a negative slack. The unpatched run of each group is the
+control, and each group's ledger must name every row the group reports. No
+bound is changed to make a row flip. Findings on the finite-chain group:
 
 * ``finite_projection_global`` flips only through ``projection_check``'s
   reversibility guard. On the 500 random triples the global ratio
@@ -16,14 +17,22 @@ row flip. Findings:
   kernel creates mass.
 * ``finite_lovasz_bound`` flips only when the kernel does not keep pi: even
   a doubled s-conductance stays under the bound on these chains.
+
+On the kernel group every row flips through a fault of its own, though some
+faults flip more rows than the one they are listed under. The antisymmetry
+row reads exactly 0 unpatched, but a fault that only reorders the ratio's
+additions reads 7.1e-15, below its 1e-13 bound; it takes a ratio that is not
+antisymmetric at all.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from malalab import finite_chain, verify
+from malalab import finite_chain, kernels, verify
+from malalab.potentials import Potential
 
 SEED = 0
 CHAIN = finite_chain.FiniteChain
@@ -118,6 +127,52 @@ FAULTS = {
         (finite_chain, "evolve_and_check", _unadjusted_evolution),
 }
 
+def _ratio_over_2h(h, x, value_x, grad_x, y, value_y, grad_y):
+    forward = ((y - x + h * grad_x) ** 2).sum(axis=-1)
+    backward = ((x - y + h * grad_y) ** 2).sum(axis=-1)
+    return (value_x - value_y) + (forward - backward) / (2.0 * h)
+
+
+def _backward_with_grad_x(log_ratio_parts):
+    def faulty(h, x, value_x, grad_x, y, value_y, grad_y):
+        return log_ratio_parts(h, x, value_x, grad_x, y, value_y, grad_x)
+    return faulty
+
+
+def _value_without_cosine(self, x):
+    x = np.asarray(x, dtype=float)
+    return 0.5 * (x * x).sum(axis=-1), self.grad(x)
+
+
+def _rejected_rows_keep_the_proposal(p, h, X, rng):
+    Y, _, _, accepted, log_ratios = kernels._transition(p, h, np.asarray(X, dtype=float), rng)
+    return Y, accepted, log_ratios
+
+
+def _uphill_proposal(h, x, grad_x, noise):
+    return (x + h * grad_x) + math.sqrt(2.0 * h) * noise
+
+
+def _ou_variance_of_half_the_step(h, x, rng):
+    x = np.asarray(x, dtype=float)
+    return math.exp(-h) * x + math.sqrt(-math.expm1(-h)) * rng.standard_normal(x.shape)
+
+
+FAULTS.update({
+    "the log ratio divides by 2h, not 4h":
+        (kernels, "_log_ratio_parts", lambda _: _ratio_over_2h),
+    "the backward proposal centred with grad V(x), not grad V(y)":
+        (kernels, "_log_ratio_parts", _backward_with_grad_x),
+    "value_and_grad drops the cosine from V":
+        (Potential, "value_and_grad", lambda _: _value_without_cosine),
+    "a rejected row keeps its proposal":
+        (kernels, "batch_mala_update", lambda _: _rejected_rows_keep_the_proposal),
+    "the proposal drifts up the gradient, x + h grad V(x)":
+        (kernels, "_langevin_proposal", lambda _: _uphill_proposal),
+    "the OU variance taken as 1 - exp(-h), not 1 - exp(-2h)":
+        (kernels, "ou_exact_step", lambda _: _ou_variance_of_half_the_step),
+})
+
 LEDGER = {
     "finite_two_state_kernel": "metropolize returns the proposal unadjusted",
     "finite_two_state_offdiag_l1": "the projection metric counts the diagonal",
@@ -133,22 +188,36 @@ LEDGER = {
     "finite_lovasz_bound": "evolve runs the unadjusted proposal",
 }
 
+KERNEL_LEDGER = {
+    "log_accept_gaussian_closed_form": "the log ratio divides by 2h, not 4h",
+    "log_accept_antisymmetry": "the backward proposal centred with grad V(x), not grad V(y)",
+    "log_accept_density_oracle": "value_and_grad drops the cosine from V",
+    "mala_rejection_atom": "a rejected row keeps its proposal",
+    "mala_stationarity_zscore": "the proposal drifts up the gradient, x + h grad V(x)",
+    "ou_exact_variance_zscore": "the OU variance taken as 1 - exp(-h), not 1 - exp(-2h)",
+}
 
-def _slacks():
-    return {r.name: r.slack for r in verify.finite_chain_checks(SEED)}
+
+def _slacks(checks=verify.finite_chain_checks):
+    return {r.name: r.slack for r in checks(SEED)}
 
 
-def test_control_run_passes_every_row_the_ledger_names():
-    slacks = _slacks()
-    assert sorted(slacks) == sorted(LEDGER)
+@pytest.mark.parametrize("checks, ledger", [(verify.finite_chain_checks, LEDGER),
+                                            (verify.kernel_checks, KERNEL_LEDGER)],
+                         ids=["finite", "kernel"])
+def test_control_run_passes_every_row_the_ledger_names(checks, ledger):
+    slacks = _slacks(checks)
+    assert sorted(slacks) == sorted(ledger)
     assert all(slack >= 0.0 for slack in slacks.values())
 
 
-@pytest.mark.parametrize("row", sorted(LEDGER))
+@pytest.mark.parametrize("row", sorted(LEDGER) + sorted(KERNEL_LEDGER))
 def test_the_row_fails_under_its_fault(monkeypatch, row):
-    owner, attr, build = FAULTS[LEDGER[row]]
+    checks, ledger = ((verify.kernel_checks, KERNEL_LEDGER) if row in KERNEL_LEDGER
+                      else (verify.finite_chain_checks, LEDGER))
+    owner, attr, build = FAULTS[ledger[row]]
     monkeypatch.setattr(owner, attr, build(getattr(owner, attr)))
-    assert _slacks()[row] < 0.0, LEDGER[row]
+    assert _slacks(checks)[row] < 0.0, ledger[row]
 
 
 def _nan_at_first_chain(field):

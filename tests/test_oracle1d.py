@@ -131,20 +131,6 @@ class TestKL:
 
 
 class TestCoordinateFactor:
-    def test_amplitude_zero_is_one(self):
-        assert coordinate_factor(2.0, 0.1, 0.2, 4096, amplitude=0.0) == 1.0
-
-    def test_tends_to_one_as_amplitude_shrinks(self):
-        d, eta, h = 4096, 0.2, 4096**-0.4
-        grid = np.linspace(-5, 5, 7)
-        for amp_scale in (1.0, 0.1, 0.01):
-            amp = amp_scale * 0.5 * d ** (-2 * eta)
-            worst = max(
-                abs(coordinate_factor(x1, h, eta, d, amplitude=amp) - 1.0)
-                for x1 in grid
-            )
-            assert worst <= 3.0 * amp_scale * 0.05
-
     def test_monte_carlo_agreement(self):
         d, eta = 4096, 0.2
         h = d**-0.4

@@ -15,8 +15,11 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
-from malalab.diagnostics import mean_acceptance
+import pytest
+
+from malalab.diagnostics import acceptance_at, mean_acceptance
 from malalab.potentials import gaussian
+from malalab.rng import substream
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -47,5 +50,30 @@ def test_mean_acceptance_se_against_the_exact_gaussian_value():
     z = []
     for seed in range(120_000, 120_000 + k):
         est = mean_acceptance(gaussian(d), h, 64, 16, seed=seed).estimate
+        z.append((est.value - exact) / est.std_error)
+    _assert_calibrated(np.array(z))
+
+
+def _gaussian_acceptance_at(x, h):
+    """Exact A(x) on N(0, I_d). With r = ||x||², S = ||y||²/2h is noncentral
+    chi-square(d, λ), λ = (1−h)²r/2h, and log a = hr/4 − tS with t = h²/2. So
+    a >= 1 exactly when S <= c = r/2h, and e^{−tS} tilts S into (1+2t)^{−1}
+    times a noncentral chi-square(d, λ/(1+2t)), with weight
+    w = exp(hr/4 − λt/(1+2t))·(1+2t)^{−d/2}."""
+    d, r = len(x), float(x @ x)
+    c, lam, t = r / (2 * h), (1 - h) ** 2 * r / (2 * h), h * h / 2
+    w = math.exp(h * r / 4 - lam * t / (1 + 2 * t)) * (1 + 2 * t) ** (-d / 2)
+    return stats.ncx2.cdf(c, d, lam) + w * stats.ncx2.sf(c * (1 + 2 * t), d, lam / (1 + 2 * t))
+
+
+@pytest.mark.parametrize("d", [64, 512])
+def test_acceptance_at_se_against_the_exact_gaussian_value(d):
+    # One fixed state, h = d^-0.4, 256 proposals, K = 200 seeds.
+    k, h = 200, d**-0.4
+    x = substream(121_000, "state", d).standard_normal(d)
+    exact = _gaussian_acceptance_at(x, h)
+    z = []
+    for seed in range(121_000, 121_000 + k):
+        est = acceptance_at(gaussian(d), h, x, 256, seed=seed)
         z.append((est.value - exact) / est.std_error)
     _assert_calibrated(np.array(z))

@@ -6,9 +6,9 @@ Each invocation runs in a fresh interpreter with ``CHECKOUT/src`` first on
 ``PYTHONPATH`` (default: the checkout holding this script) and with
 ``OUT_DIR`` as its working directory, so the progress line it prints names
 a relative path. The CSV and the captured stdout of every CLI run are
-written to ``OUT_DIR``, and so are ``run_chain.txt`` and ``oracles.txt`` from
-the pinned ``run_chain`` and oracle scripts; the script prints ``<md5>  <file>`` for each, sorted
-by name. Running it on two commits and comparing the listings shows whether a
+written to ``OUT_DIR``, and so are ``run_chain.txt``, ``oracles.txt`` and
+``projection.txt`` from the pinned ``run_chain``, oracle and projection-check
+scripts; the script prints ``<md5>  <file>`` for each, sorted by name. Running it on two commits and comparing the listings shows whether a
 refactor left every output byte-identical. Uses the standard library only.
 """
 
@@ -79,6 +79,18 @@ with open(sys.argv[1], "w", encoding="utf-8") as fh:
                   repr(coordinate_factor_first_order(x1, h, 0.2, d)), file=fh)
 """
 
+# Criterion 8's estimator, which no CLI command reaches: both sides of the
+# projection inequality and the threshold at two small configs.
+PROJECTION = """
+import sys
+from malalab.diagnostics import projection_check_gaussian
+with open(sys.argv[1], "w", encoding="utf-8") as fh:
+    for h, d, n_states, n_mc, seed in ((0.05, 32, 20, 1000, 1010), (0.2, 8, 10, 500, 3)):
+        rep = projection_check_gaussian(h, d, n_states, n_mc, seed)
+        print(h, d, n_states, n_mc, seed, repr(rep.lhs), repr(rep.rhs), repr(rep.threshold),
+              file=fh)
+"""
+
 
 def run_pinned(source: str, out_dir: str) -> list[str]:
     """Run every pinned invocation; return the names of the files written."""
@@ -103,7 +115,8 @@ def run_pinned(source: str, out_dir: str) -> list[str]:
         written += [csv_name, stdout_name]
     run("run_chain", ["-c", RUN_CHAIN, "run_chain.txt"])
     run("oracles", ["-c", ORACLES, "oracles.txt"])
-    return sorted(written + ["run_chain.txt", "oracles.txt"])
+    run("projection", ["-c", PROJECTION, "projection.txt"])
+    return sorted(written + ["run_chain.txt", "oracles.txt", "projection.txt"])
 
 
 def md5_of(path: str) -> str:

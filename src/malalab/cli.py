@@ -12,9 +12,10 @@ finite-selftest per-instance exact finite-chain report
 Configuration is a plain-text key=value file (``--config``), overridable
 with repeated ``--set key=value`` flags; ``--seed`` beats the ``SEED``
 environment variable, which beats the config file. Sweep cells execute in
-parallel under ``--threads`` with per-cell derived seeds and rows are
-written in a canonical sorted order, so output files are byte-identical for
-identical config+seed regardless of scheduling.
+parallel under ``--threads``, cell i of an experiment on the seed
+``seed_path(seed, "sweep", experiment, i)``, and rows are written in a
+canonical sorted order, so output files are byte-identical for identical
+config+seed regardless of scheduling.
 
 Sweep CSV header (stable): ``experiment,d,h,eta,estimator,value,std_error,n,seed``.
 
@@ -43,7 +44,7 @@ import numpy as np
 
 from . import diagnostics, kernels, verify
 from .potentials import Potential, adversarial_cosine
-from .rng import substream
+from .rng import seed_path
 
 SWEEP_HEADER = ("experiment", "d", "h", "eta", "estimator", "value",
                 "std_error", "n", "seed")
@@ -175,7 +176,7 @@ def _cell(run, cfg: SweepConfig, d: int, *args):
 def _acceptance_cell(cfg: SweepConfig, p: Potential, h: float, experiment: str, idx: int):
     res = diagnostics.mean_acceptance(
         p, h, cfg.n_states, cfg.n_mc,
-        seed=substream(cfg.seed, "sweep", experiment, idx),
+        seed=seed_path(cfg.seed, "sweep", experiment, idx),
     )
     return _row(cfg, experiment, p.d, h, "mean_acceptance",
                 res.estimate.value, res.estimate.std_error, res.n_states * res.n_mc)
@@ -183,7 +184,7 @@ def _acceptance_cell(cfg: SweepConfig, p: Potential, h: float, experiment: str, 
 
 def _gap_cell(cfg: SweepConfig, p: Potential, h: float, idx: int):
     res = diagnostics.dirichlet_gap_upper(p, h, cfg.n_states,
-                                          substream(cfg.seed, "sweep", "gap", idx))
+                                          seed_path(cfg.seed, "sweep", "gap", idx))
     return _row(cfg, "gap", p.d, h, "dirichlet_gap_upper",
                 res.value, res.std_error, res.n_samples)
 
@@ -199,7 +200,7 @@ _STARTS = {
 def _mix_cell(cfg: SweepConfig, p: Potential, h: float, idx: int):
     steps = diagnostics.mixing_time_measure(
         p, h, partial(_STARTS[cfg.start], p), cfg.eps, cfg.max_steps, cfg.n_replicas,
-        substream(cfg.seed, "sweep", "mix", idx),
+        seed_path(cfg.seed, "sweep", "mix", idx),
     )
     return _row(cfg, "mix", p.d, h, "sliced_tv_mixing_steps_lower_bound",
                 float(steps), 0.0, cfg.n_replicas)
@@ -261,8 +262,7 @@ SWEEPS = {
     "mix": _Sweep(
         SweepConfig(kind="gaussian", d_grid=(64,), h_rule="theorem1",
                     c=0.1, eps=0.05, n_replicas=4096, max_steps=2000),
-        # The note is stale (see mixing_time_measure), but tools/golden_outputs.md5 pins it.
-        _mix_cells, "mix.csv", " (lower-bound proxy, trend only)"),
+        _mix_cells, "mix.csv", " (sliced TV incl. its noise floor, trend only)"),
 }
 
 

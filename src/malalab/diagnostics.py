@@ -79,14 +79,6 @@ def _acceptance_block(p: Potential, h: float, x, value_x, grad_x, noise, out) ->
     out[:] = np.exp(np.minimum(kernels._require_finite(log_ratios), 0.0))
 
 
-def _wait_for_blocks(drawn: list, keep: int) -> None:
-    while len(drawn) > keep:
-        future, rng, state = drawn.pop(0)
-        if future.exception() is not None:  # a serial loop stops after its normals
-            rng.bit_generator.state = state
-        future.result()
-
-
 def _acceptance_values(p: Potential, h: float, X, n_mc: int, rngs) -> np.ndarray:
     """min(1, a(x, y)) for n_mc proposals y ~ Q_x from each row x of X, drawn
     from the matching generator of ``rngs``; V and ∇V are evaluated once at x
@@ -94,22 +86,23 @@ def _acceptance_values(p: Potential, h: float, X, n_mc: int, rngs) -> np.ndarray
     ``kernels._BLOCK_ELEMENTS`` elements in order, at most ``_ACCEPT_AHEAD``
     ahead; ``_ACCEPT_WORKERS`` threads, joined on return, compute each into
     its own slice in a copy of this context (numpy's errstate). No draw or bit
-    moves: a non-finite log ratio raises FloatingPointError and leaves a
-    Generator after the failing block's normals, where a serial loop stops."""
+    moves; a non-finite log ratio raises FloatingPointError."""
     kernels._check_step(h)
     chunk = kernels._block_rows(X.shape[1])
     out = np.empty((len(X), n_mc))
-    drawn = []  # (future, generator, its state after the block's normals)
+    drawn = []
     with ThreadPoolExecutor(_ACCEPT_WORKERS) as pool:
         for x, rng, values in zip(X, rngs, out):
             value_x, grad_x = p.value_and_grad(x)
             for done in range(0, n_mc, chunk):
-                _wait_for_blocks(drawn, _ACCEPT_AHEAD - 1)
+                while len(drawn) >= _ACCEPT_AHEAD:
+                    drawn.pop(0).result()
                 noise = rng.standard_normal((min(chunk, n_mc - done), len(x)))
                 future = pool.submit(contextvars.copy_context().run, _acceptance_block, p, h,
                                      x, value_x, grad_x, noise, values[done:done + len(noise)])
-                drawn.append((future, rng, rng.bit_generator.state))
-        _wait_for_blocks(drawn, 0)
+                drawn.append(future)
+        for future in drawn:
+            future.result()
     return out
 
 
@@ -203,17 +196,17 @@ def dirichlet_gap_upper(p: Potential, h: float, n: int, seed) -> EstimateWithSE:
 
 
 def tv_mc_estimate(
-    log_p: Callable, log_q: Callable, sampler_p: Callable, n: int, seed
+    log_p: Callable, log_q: Callable, sampler_p: Callable, n: int, rng
 ) -> EstimateWithSE:
     """One-sample TV estimator TV(P, Q) = E_P[(1 − q(X)/p(X))_+].
 
-    ``sampler_p(n, rng)`` must return draws from P; ``log_p`` and ``log_q``
+    ``sampler_p(n, rng)`` must return n draws from P; ``log_p`` and ``log_q``
     evaluate unnormalized-free log densities on those draws (they must share
     support P-almost surely). Values are clipped to [0, 1] pointwise.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    X = sampler_p(n, substream(seed, "tv-mc"))
+    X = sampler_p(n, rng)
     lp = np.asarray(log_p(X), dtype=float)
     lq = np.asarray(log_q(X), dtype=float)
     if not np.all(np.isfinite(lp)) or np.any(np.isnan(lq)) or np.any(lq == np.inf):
@@ -370,9 +363,11 @@ def mixing_time_measure(
 ) -> int:
     """First step at which the replica ensemble's sliced TV is at most eps.
 
-    Runs ``n_replicas`` independent MALA chains from ``x0_sampler(n, rng)``
-    in lockstep and evaluates the sliced-TV proxy against the exact marginal
-    after every step. Returns ``max_steps`` as a sentinel when the threshold
+    Runs ``n_replicas`` independent MALA chains in lockstep from
+    ``x0_sampler(n, rng)``, given the "mix-init" stream of ``seed`` (an int or
+    a ``rng.seed_path``), with steps drawn from its "mix-steps" stream, and
+    evaluates the sliced-TV proxy against the exact marginal after every
+    step. Returns ``max_steps`` as a sentinel when the threshold
     is never reached. The ensemble's sliced TV includes its finite-sample
     noise floor, so the count is not a lower bound on the TV mixing time;
     only the sliced TV of the law itself lower-bounds the law's TV.
@@ -382,7 +377,7 @@ def mixing_time_measure(
     declared mixed only by a full :func:`sliced_tv_to_target`, so the count
     is the one that computing the sliced TV at every step would give. Each
     step's draws are made a step ahead on a helper thread (``kernels._DrawAhead``);
-    the count and a Generator ``seed``'s final state are the step-by-step loop's.
+    the count is the step-by-step loop's.
     """
     if not 0.0 < eps < 1.0 or max_steps < 0:
         raise ValueError("need eps in (0, 1) and max_steps >= 0")

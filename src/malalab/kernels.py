@@ -194,18 +194,17 @@ class _DrawAhead:
     A step asks for ``_transition``'s draws in its order, the n×d normals in row
     blocks, then n uniforms, or raises. It is served views of one of two buffers
     while a helper thread, calling only the generator, fills the other with the
-    next step's. ``with`` exit joins it and puts ``rng`` after the draws served.
+    next step's. ``with`` exit joins it.
     """
 
     def __init__(self, rng, n: int, d: int):
         self._rng, self._n, self._d, self._pool = rng, n, d, ThreadPoolExecutor(1)
         self._buffers = [(np.empty((n, d)), np.empty(n)) for _ in range(2)]
-        # Buffer served, rows served (None between steps), state before each buffer.
-        self._i, self._row, self._states = 1, None, [None, None]
+        # Buffer served, rows served (None between steps).
+        self._i, self._row = 1, None
         self._draw_ahead()
 
     def _draw_ahead(self):
-        self._states[1 - self._i] = self._rng.bit_generator.state
         normals, uniforms = self._buffers[1 - self._i]
         self._ahead = self._pool.submit(
             lambda: (self._rng.standard_normal(out=normals), self._rng.random(out=uniforms)))
@@ -232,10 +231,6 @@ class _DrawAhead:
 
     def __exit__(self, *exc):
         self._pool.shutdown()
-        mid = self._row is not None  # a step left mid-way: its normals served are redrawn
-        self._rng.bit_generator.state = self._states[self._i if mid else 1 - self._i]
-        if mid:
-            self._rng.standard_normal(out=self._buffers[self._i][0][:self._row])
 
 
 def ou_exact_step(h: float, x, rng) -> np.ndarray:
@@ -381,15 +376,15 @@ def cdf_table_for(p: Potential) -> oracle1d.CDFTable:
     return table
 
 
-def sample_separable_target(p: Potential, n: int, seed) -> np.ndarray:
+def sample_separable_target(p: Potential, n: int, rng) -> np.ndarray:
     """n i.i.d. exact draws from a separable target, one row per sample.
 
-    Coordinates are sampled independently through the 1-D inverse-CDF table,
-    so rows are exact up to the table tolerance (<= 1e-8 in CDF).
+    Coordinates are sampled independently through the 1-D inverse-CDF table
+    from uniforms drawn from ``rng``, so rows are exact up to the table
+    tolerance (<= 1e-8 in CDF).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     table = cdf_table_for(p)
-    rng = substream(seed, "separable-sampling")
     u = rng.random((n, p.d))
     return np.asarray(table.inverse(u.ravel()), dtype=float).reshape(n, p.d)

@@ -7,6 +7,11 @@ sequence of nonnegative ints or short strings naming the consumer, e.g.
 are and strings as 32-bit keys through SHA-256; the tuple is fed to
 ``numpy.random.SeedSequence``, so streams are reproducible and independent
 of scheduling or execution order.
+
+A seed is a nonnegative int or the ``SeedSequence`` of ``seed_path(seed,
+*path)``, which hands a callee a branch of the tree: ``substream(seed_path(s,
+*a), *b)`` draws what ``substream(s, *a, *b)`` draws. A function that only
+draws from a stream its caller derived takes it as ``rng``.
 """
 
 from __future__ import annotations
@@ -14,8 +19,6 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-
-RandomState = int | np.random.Generator
 
 
 def _key_part(part) -> int:
@@ -31,20 +34,16 @@ def _key_part(part) -> int:
     raise TypeError(f"stream path parts must be ints or strings, got {part!r}")
 
 
-def substream(seed: RandomState, *path) -> np.random.Generator:
-    """Generator for the stream named by ``path`` under master ``seed``.
+def seed_path(seed: int | np.random.SeedSequence, *path) -> np.random.SeedSequence:
+    """Seed of the stream named by ``path`` under ``seed``, an int or a seed_path."""
+    keys = tuple(_key_part(p) for p in path)
+    if isinstance(seed, np.random.SeedSequence):
+        return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + keys)
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"a seed must be an int or a seed_path, got {type(seed).__name__}")
+    return np.random.SeedSequence(int(seed), spawn_key=keys)
 
-    An existing Generator is passed through unchanged (the path is ignored),
-    so helpers can accept either a seed or an already-derived stream. Every
-    "stream" a helper derives from a Generator is then that one Generator,
-    drawn in sequence. The CLI sweep cells pass a Generator as the seed, so
-    within one cell the "states" and per-state "proposals" streams of
-    ``diagnostics.mean_acceptance``, "gap-states" and "gap-proposals" of
-    ``dirichlet_gap_upper``, and "mix-init" and "mix-steps" of
-    ``mixing_time_measure`` are consecutive draws of one stream: the draw
-    order inside these functions is part of every sweep value.
-    """
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(np.random.SeedSequence(
-        entropy=int(seed), spawn_key=tuple(_key_part(p) for p in path)))
+
+def substream(seed: int | np.random.SeedSequence, *path) -> np.random.Generator:
+    """Generator for the stream named by ``path`` under ``seed``."""
+    return np.random.default_rng(seed_path(seed, *path))

@@ -35,7 +35,7 @@ from malalab import diagnostics as dg
 from malalab import finite_chain, kernels, oracle1d, verify
 from malalab.kernels import log_accept_ratio, run_chain, sample_separable_target
 from malalab.potentials import adversarial_cosine, gaussian
-from malalab.rng import substream
+from malalab.rng import seed_path, substream
 
 
 def report(criterion: str, passed: bool, detail: str):
@@ -152,13 +152,13 @@ def test_criterion_04_conductance_integrand_bound():
     d = 256
     h = d**-0.2
     p = gaussian(d)
-    X = sample_separable_target(p, 80, seed=1007)
+    X = sample_separable_target(p, 80, substream(1007, "separable-sampling"))
     X = X[np.linalg.norm(X, axis=1) <= math.sqrt(d)][:20]
     assert len(X) == 20
     worst_slack = math.inf
     ok = True
     for i, x in enumerate(X):
-        est = dg.acceptance_at(p, h, x, 4000, seed=substream(1008, "mc", i))
+        est = dg.acceptance_at(p, h, x, 4000, seed=seed_path(1008, "mc", i))
         bound = dg.gaussian_conductance_bound(float(x @ x), h, d)
         slack = bound + 3.0 * est.std_error - est.value
         worst_slack = min(worst_slack, slack)

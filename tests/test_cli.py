@@ -1,13 +1,15 @@
 import csv
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
-from malalab import cli, finite_chain, verify
+from malalab import cli, diagnostics, finite_chain, verify
 from malalab.cli import SweepConfig, load_config, main, step_size, target_for
 from malalab.potentials import adversarial_cosine, gaussian
+from malalab.rng import seed_path
 
 
 def read_rows(path):
@@ -185,6 +187,39 @@ class TestSweeps:
         assert main(args + ["--out", str(a), "--threads", "1"]) == 0
         assert main(args + ["--out", str(b), "--threads", "4"]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestCellSeeds:
+    """Cell i of an experiment hands its estimator the seed
+    seed_path(seed, "sweep", experiment, i), under which the estimator derives
+    its named streams ("states", "proposals", "mix-init", "mix-steps")."""
+
+    def test_a_collapse_cell_is_mean_acceptance_on_its_seed_path(self, tmp_path):
+        out = tmp_path / "collapse.csv"
+        assert main(["sweep-collapse", "--seed", "4", "--out", str(out), "--set", "d_grid=64",
+                     "--set", "n_states=12", "--set", "n_mc=16"]) == 0
+        rows = {row[3]: row for row in read_rows(out)[1:]}
+        # Cell 0 is the perturbed target at d_grid[0], cell 1 its Gaussian companion.
+        for idx, (eta, p) in enumerate((("0.2", adversarial_cosine(64, 0.2)),
+                                        ("", gaussian(64)))):
+            res = diagnostics.mean_acceptance(p, 64**-0.4, 12, 16,
+                                              seed_path(4, "sweep", "collapse", idx))
+            assert (float(rows[eta][5]), float(rows[eta][6])) == (
+                res.estimate.value, res.estimate.std_error)
+
+    def test_a_mix_cell_is_mixing_time_measure_on_its_seed_path(self, tmp_path):
+        out = tmp_path / "mix.csv"
+        assert main(["mix", "--seed", "6", "--out", str(out), "--set", "d_grid=16,32",
+                     "--set", "n_replicas=1000", "--set", "max_steps=400"]) == 0
+        rows = read_rows(out)[1:]
+        assert [int(row[1]) for row in rows] == [16, 32]
+        for idx, row in enumerate(rows):
+            p = gaussian(int(row[1]))
+            steps = diagnostics.mixing_time_measure(
+                p, float(row[2]), partial(cli._STARTS["warm-half"], p), 0.05, 400, 1000,
+                seed_path(6, "sweep", "mix", idx))
+            assert 0 < steps < 400
+            assert float(row[5]) == steps
 
 
 class TestConfig:

@@ -151,7 +151,7 @@ class TestMalaStep:
 @pytest.mark.parametrize("k", [1, 10, 100])
 def test_stationarity_preserved(p, k):
     n = 4096
-    X = sample_separable_target(p, n, seed=10)
+    X = sample_separable_target(p, n, substream(10, "separable-sampling"))
     before = X[:, 0] ** 2
     rng = substream(11, "stationarity", k)
     for _ in range(k):
@@ -185,7 +185,7 @@ class TestBlockedBatchUpdate:
         # 10 923 rows at d = 3 leave one row for a second block; at
         # d = 2^15 + 1 every block is one row.
         p, h = make(d), d ** (-1 / 3)
-        X = sample_separable_target(p, n, seed=40)
+        X = sample_separable_target(p, n, substream(40, "separable-sampling"))
         rng, ref_rng = substream(41, "blocks"), substream(41, "blocks")
         got = batch_mala_update(p, h, X, rng)
         want = one_block_mala_update(p, h, X, ref_rng)
@@ -353,7 +353,7 @@ class TestRunChain:
 
     def test_stationary_second_moment(self):
         p = gaussian(4)
-        x0 = sample_separable_target(p, 1, seed=24)[0]
+        x0 = sample_separable_target(p, 1, substream(24, "separable-sampling"))[0]
         summary = run_chain(p, KernelParams(h=0.1), x0, 200_000, seed=25, thin=1)
         xs = summary.trajectory[10_000:, 0]
         se = batch_means_se(xs**2)
@@ -475,14 +475,14 @@ class TestRunChain:
 class TestSampleSeparableTarget:
     def test_gaussian_kolmogorov_smirnov(self):
         n = 100_000
-        X = sample_separable_target(gaussian(2), n, seed=28)
+        X = sample_separable_target(gaussian(2), n, substream(28, "separable-sampling"))
         stat = stats.kstest(X[:, 0], "norm").statistic
         assert stat < 1.63 / math.sqrt(n)  # 1% critical value
 
     def test_adversarial_second_moment_matches_quadrature(self):
         p = adversarial_cosine(1, 0.2)
         n = 100_000
-        X = sample_separable_target(p, n, seed=29)
+        X = sample_separable_target(p, n, substream(29, "separable-sampling"))
         target = quad_expectation(p, lambda x: x * x)
         se = (X[:, 0] ** 2).std(ddof=1) / math.sqrt(n)
         assert np.mean(X[:, 0] ** 2) == pytest.approx(target, abs=3 * se)
@@ -491,7 +491,7 @@ class TestSampleSeparableTarget:
     def test_symmetric_target_has_zero_mean(self):
         p = adversarial_cosine(4, 0.22)
         n = 50_000
-        X = sample_separable_target(p, n, seed=30)
+        X = sample_separable_target(p, n, substream(30, "separable-sampling"))
         se = X.std(ddof=1) / math.sqrt(n * 4)
         assert float(X.mean()) == pytest.approx(0.0, abs=3 * se)
 

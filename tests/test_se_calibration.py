@@ -17,7 +17,9 @@ from scipy import stats
 
 import pytest
 
-from malalab.diagnostics import acceptance_at, mean_acceptance
+from malalab.diagnostics import (acceptance_at, isotropic_gaussian_logpdf, mean_acceptance,
+                                 tv_mc_estimate)
+from malalab.oracle1d import gaussian_tv_equal_cov
 from malalab.potentials import gaussian
 from malalab.rng import substream
 
@@ -75,5 +77,23 @@ def test_acceptance_at_se_against_the_exact_gaussian_value(d):
     z = []
     for seed in range(121_000, 121_000 + k):
         est = acceptance_at(gaussian(d), h, x, 256, seed=seed)
+        z.append((est.value - exact) / est.std_error)
+    _assert_calibrated(np.array(z))
+
+
+@pytest.mark.parametrize("shift", [0.25, 2.0])
+def test_tv_mc_estimate_se_against_the_exact_equal_covariance_value(shift):
+    # N(0, σ²I_8) against N(shift·σ·e_1, σ²I_8), σ² = 0.7: TV 0.0995 and
+    # 0.683. 2000 draws from the first law, K = 200 seeds.
+    d, k, n, sigma2 = 8, 200, 2000, 0.7
+    mean_q = np.zeros(d)
+    mean_q[0] = shift * math.sqrt(sigma2)
+    exact = gaussian_tv_equal_cov(mean_q[0], sigma2)
+    z = []
+    for seed in range(122_000, 122_000 + k):
+        est = tv_mc_estimate(lambda X: isotropic_gaussian_logpdf(X, 0.0, sigma2),
+                             lambda X: isotropic_gaussian_logpdf(X, mean_q, sigma2),
+                             lambda m, rng: math.sqrt(sigma2) * rng.standard_normal((m, d)),
+                             n, substream(seed, "tv-mc"))
         z.append((est.value - exact) / est.std_error)
     _assert_calibrated(np.array(z))
